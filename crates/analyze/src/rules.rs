@@ -82,15 +82,19 @@ pub fn rules_for(rel: &str) -> Vec<&'static str> {
         rules.push(RULE_FLOAT);
     }
 
-    // R2: protocol actors, simulator event loops, the runtime invariant
-    // monitor, and schedule reconstruction (period overflow is a typed
-    // `ScheduleError`).
+    // R2: protocol actors, the simulator kernel and every executor policy,
+    // the runtime invariant monitor, and schedule reconstruction (period
+    // overflow is a typed `ScheduleError`).
     let r2 = in_dir("crates/proto/src/")
         || [
             "crates/sim/src/engine.rs",
+            "crates/sim/src/kernel.rs",
             "crates/sim/src/event_driven.rs",
             "crates/sim/src/clocked.rs",
+            "crates/sim/src/demand_driven.rs",
             "crates/sim/src/dynamic.rs",
+            "crates/sim/src/returns.rs",
+            "crates/sim/src/result_return.rs",
             "crates/sim/src/monitor.rs",
             "crates/core/src/schedule.rs",
         ]
@@ -389,6 +393,9 @@ mod tests {
         assert!(!rules_for("crates/core/src/quantize.rs").contains(&RULE_FLOAT));
         assert!(rules_for("crates/sim/src/event_driven.rs").contains(&RULE_PANIC));
         assert!(rules_for("crates/sim/src/monitor.rs").contains(&RULE_PANIC));
+        for executor in ["kernel", "demand_driven", "returns", "result_return"] {
+            assert!(rules_for(&format!("crates/sim/src/{executor}.rs")).contains(&RULE_PANIC));
+        }
         assert!(rules_for("crates/core/src/schedule.rs").contains(&RULE_PANIC));
         assert!(!rules_for("crates/sim/src/makespan.rs").contains(&RULE_PANIC));
         assert!(rules_for("crates/obs/src/json.rs").contains(&RULE_WILDCARD));

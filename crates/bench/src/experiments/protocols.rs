@@ -116,8 +116,8 @@ pub fn e8_result_return() -> String {
         exact_queue: false,
         seed: 0,
     };
-    let sep = result_return::simulate(&rr, &cfg);
-    let merged = result_return::simulate_merged(&rr, &cfg);
+    let sep = result_return::simulate(&rr, &cfg).unwrap();
+    let merged = result_return::simulate_merged(&rr, &cfg).unwrap();
     let window = (rat(200, 1), rat(400, 1));
     let mut t = Table::new(["model", "measured rate", "paper"]);
     t.row([
@@ -460,8 +460,8 @@ pub fn e19_returns_on_trees() -> String {
         };
         let mut row = vec![name];
         for (num, den) in [(0i128, 1i128), (1, 8), (1, 4), (1, 2), (1, 1)] {
-            let rep =
-                simulate_with_returns(&p, &ev, ReturnConfig { return_ratio: rat(num, den) }, &cfg);
+            let ret = ReturnConfig { return_ratio: rat(num, den) };
+            let rep = simulate_with_returns(&p, &ev, ret, &cfg).unwrap();
             row.push(f(rep.throughput_in(start, horizon)));
         }
         t.row(row);

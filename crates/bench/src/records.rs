@@ -169,8 +169,8 @@ pub fn collect_pooled(pool: bwfirst_parallel::Pool) -> Records {
         exact_queue: false,
         seed: 0,
     };
-    let sep = result_return::simulate(&rr, &cfg);
-    let merged = result_return::simulate_merged(&rr, &cfg);
+    let sep = result_return::simulate(&rr, &cfg).unwrap();
+    let merged = result_return::simulate_merged(&rr, &cfg).unwrap();
     let result_return = ResultReturnRecord {
         separated_rate: sep.throughput_in(rat(200, 1), rat(400, 1)).to_f64(),
         merged_rate: merged.throughput_in(rat(200, 1), rat(400, 1)).to_f64(),

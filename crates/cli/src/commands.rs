@@ -15,8 +15,8 @@ use bwfirst_sim::demand_driven::{self, DemandConfig};
 use bwfirst_sim::dynamic::{self, AdaptPolicy};
 use bwfirst_sim::probe::track_names;
 use bwfirst_sim::{
-    event_driven, trace_header, GanttProbe, MonitorConfig, MonitorProbe, ObsProbe, ProvenanceProbe,
-    SimConfig, UtilizationProbe,
+    event_driven, trace_header, GanttProbe, MonitorConfig, MonitorProbe, NoProbe, ObsProbe, Probe,
+    ProvenanceProbe, SimConfig, SimReport, UtilizationProbe,
 };
 use std::fmt::Write;
 
@@ -32,17 +32,19 @@ usage:
   bwfirst schedule <platform.json> [--grid G]
       event-driven periods and local schedules (optionally quantized to 1/G)
   bwfirst simulate <platform.json> [--horizon H] [--stop T] [--tasks N]
-                   [--protocol event|demand|demand-int] [--gantt COLS]
+                   [--protocol event|clocked|demand|demand-int|dynamic]
+                   [--gantt COLS]
                    [--trace out.json] [--metrics out.json]
       discrete-event simulation with throughput/buffer/wind-down metrics
-  bwfirst stats <platform.json> [--horizon H] [--protocol event|demand|demand-int]
+  bwfirst stats <platform.json> [--horizon H]
+                [--protocol event|clocked|demand|demand-int|dynamic]
                 [--threads N] [--trace out.json] [--metrics out.json]
       negotiate, solve, schedule and simulate with full instrumentation:
       protocol message/byte counters, solver spans, per-node utilization,
       plus a cross-protocol comparison fanned out over N worker threads
       (default: available parallelism)
   bwfirst monitor <platform.json> [--horizon H] [--window W] [--warmup K]
-                  [--protocol event|clocked|demand|demand-int]
+                  [--protocol event|clocked|demand|demand-int|dynamic]
                   [--snapshots out.jsonl] [--dump out.json] [--capacity N]
       run one executor under the online invariant monitor: windowed health
       snapshots (JSONL), rate convergence against the solver's exact rates,
@@ -277,24 +279,28 @@ fn cmd_schedule(p: &Platform, grid: Option<i128>) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Runs one simulation under `protocol`, optionally driving extra probes.
+/// Runs one simulation under `protocol` (`event`, `clocked`, `demand`,
+/// `demand-int` or `dynamic` with no link changes), driving `probe`. Every
+/// command that takes `--protocol` goes through here.
 fn run_protocol(
     p: &Platform,
     ss: &SteadyState,
     cfg: &SimConfig,
     protocol: &str,
-    probe: &mut impl bwfirst_sim::Probe,
-) -> Result<bwfirst_sim::SimReport, CliError> {
+    probe: &mut impl Probe,
+) -> Result<SimReport, CliError> {
+    let ev = || EventDrivenSchedule::standard(p, ss).map_err(sched);
     match protocol {
-        "event" => {
-            let ev = EventDrivenSchedule::standard(p, ss).map_err(sched)?;
-            event_driven::simulate_probed(p, &ev, cfg, probe)
-                .map_err(|e| CliError::Runtime(e.to_string()))
-        }
+        "event" => event_driven::simulate_probed(p, &ev()?, cfg, probe).map_err(rt),
+        "clocked" => clocked::simulate_probed(p, &ev()?.tree, ClockedConfig::default(), cfg, probe)
+            .map_err(rt),
         "demand" => Ok(demand_driven::simulate_probed(p, DemandConfig::default(), cfg, probe)),
         "demand-int" => {
             Ok(demand_driven::simulate_probed(p, DemandConfig::interruptible(), cfg, probe))
         }
+        "dynamic" => dynamic::simulate_dynamic_probed(p, &[], AdaptPolicy::Stale, cfg, probe)
+            .map(|(rep, _)| rep)
+            .map_err(rt),
         other => Err(CliError::BadValue { what: "--protocol", value: other.to_string() }),
     }
 }
@@ -364,28 +370,9 @@ fn cmd_simulate(
     Ok((out, rec))
 }
 
-/// Runs one simulation under `protocol` with no probes attached — the cheap
-/// form the pooled cross-protocol comparison fans out.
-fn run_protocol_quiet(
-    p: &Platform,
-    ss: &SteadyState,
-    cfg: &SimConfig,
-    protocol: &str,
-) -> Result<bwfirst_sim::SimReport, CliError> {
-    match protocol {
-        "event" => {
-            let ev = EventDrivenSchedule::standard(p, ss).map_err(sched)?;
-            event_driven::simulate(p, &ev, cfg).map_err(|e| CliError::Runtime(e.to_string()))
-        }
-        "demand" => Ok(demand_driven::simulate(p, DemandConfig::default(), cfg)),
-        "demand-int" => Ok(demand_driven::simulate(p, DemandConfig::interruptible(), cfg)),
-        other => Err(CliError::BadValue { what: "--protocol", value: other.to_string() }),
-    }
-}
-
 /// The `monitor` command: one executor run under the online invariant
-/// monitor ([`MonitorProbe`]). The event-driven and clocked executors get
-/// the full strict monitor with solver expectations (rate convergence,
+/// monitor ([`MonitorProbe`]). The event-driven, clocked and dynamic
+/// executors get the full strict monitor with solver expectations (rate convergence,
 /// bunch periodicity, exact durations); the demand-driven variants run the
 /// structural checks in relaxed-conservation mode, since their greedy
 /// protocol neither matches the solver's rates nor emits buffer drains
@@ -420,7 +407,7 @@ fn cmd_monitor(
         seed: 0,
     };
     let ev = EventDrivenSchedule::standard(p, &ss).map_err(sched)?;
-    let strict = matches!(protocol, "event" | "clocked");
+    let strict = matches!(protocol, "event" | "clocked" | "dynamic");
     let mut mon_cfg = MonitorConfig::new(window);
     mon_cfg.warmup_windows = args.flag_or("warmup", "--warmup", mon_cfg.warmup_windows)?;
     mon_cfg.flight_capacity = args.flag_or("capacity", "--capacity", mon_cfg.flight_capacity)?;
@@ -432,25 +419,10 @@ fn cmd_monitor(
         mon_cfg = mon_cfg.relaxed();
     }
     let mut mon = MonitorProbe::new(p.len(), p.root(), mon_cfg);
-    let sim_error: Option<String> = match protocol {
-        "event" => {
-            event_driven::simulate_probed(p, &ev, &cfg, &mut mon).err().map(|e| e.to_string())
-        }
-        "clocked" => {
-            clocked::simulate_probed(p, &ev.tree, ClockedConfig::default(), &cfg, &mut mon)
-                .err()
-                .map(|e| e.to_string())
-        }
-        "demand" => {
-            let _ = demand_driven::simulate_probed(p, DemandConfig::default(), &cfg, &mut mon);
-            None
-        }
-        "demand-int" => {
-            let _ =
-                demand_driven::simulate_probed(p, DemandConfig::interruptible(), &cfg, &mut mon);
-            None
-        }
-        other => return Err(CliError::BadValue { what: "--protocol", value: other.to_string() }),
+    let sim_error = match run_protocol(p, &ss, &cfg, protocol, &mut mon) {
+        Ok(_) => None,
+        Err(CliError::Runtime(reason)) => Some(reason),
+        Err(e) => return Err(e),
     };
     let rep = mon.finish();
     if let Some(path) = args.flags.get("snapshots") {
@@ -511,42 +483,13 @@ fn record_trace(
     protocol: &str,
     cfg: &SimConfig,
 ) -> Result<Trace, CliError> {
-    match protocol {
-        "event" => {
-            let ev = EventDrivenSchedule::standard(p, ss).map_err(sched)?;
-            let mut probe = ProvenanceProbe::new(p, Some(&ev.tree));
-            event_driven::simulate_probed(p, &ev, cfg, &mut probe).map_err(rt)?;
-            let header = trace_header(p, Some(&ev.tree), protocol, cfg, Some(ss.throughput));
-            Ok(probe.into_trace(header))
-        }
-        "clocked" => {
-            let ev = EventDrivenSchedule::standard(p, ss).map_err(sched)?;
-            let mut probe = ProvenanceProbe::new(p, Some(&ev.tree));
-            clocked::simulate_probed(p, &ev.tree, ClockedConfig::default(), cfg, &mut probe)
-                .map_err(rt)?;
-            let header = trace_header(p, Some(&ev.tree), protocol, cfg, Some(ss.throughput));
-            Ok(probe.into_trace(header))
-        }
-        "demand" | "demand-int" => {
-            let demand = if protocol == "demand" {
-                DemandConfig::default()
-            } else {
-                DemandConfig::interruptible()
-            };
-            let mut probe = ProvenanceProbe::new(p, None);
-            let _ = demand_driven::simulate_probed(p, demand, cfg, &mut probe);
-            Ok(probe.into_trace(trace_header(p, None, protocol, cfg, Some(ss.throughput))))
-        }
-        "dynamic" => {
-            let ev = EventDrivenSchedule::standard(p, ss).map_err(sched)?;
-            let mut probe = ProvenanceProbe::new(p, Some(&ev.tree));
-            dynamic::simulate_dynamic_probed(p, &[], AdaptPolicy::Stale, cfg, &mut probe)
-                .map_err(rt)?;
-            let header = trace_header(p, Some(&ev.tree), protocol, cfg, Some(ss.throughput));
-            Ok(probe.into_trace(header))
-        }
-        other => Err(CliError::BadValue { what: "--protocol", value: other.to_string() }),
-    }
+    let tree = match protocol {
+        "demand" | "demand-int" => None,
+        _ => Some(EventDrivenSchedule::standard(p, ss).map_err(sched)?.tree),
+    };
+    let mut probe = ProvenanceProbe::new(p, tree.as_ref());
+    run_protocol(p, ss, cfg, protocol, &mut probe)?;
+    Ok(probe.into_trace(trace_header(p, tree.as_ref(), protocol, cfg, Some(ss.throughput))))
 }
 
 /// `trace record`: run one executor under the provenance probe, write the
@@ -881,7 +824,7 @@ fn cmd_stats(
         let pool = bwfirst_parallel::Pool::new(threads);
         let half = horizon / Rat::TWO;
         let rows = pool.map(vec!["event", "demand", "demand-int"], |proto| {
-            run_protocol_quiet(p, &ss, &cfg, proto)
+            run_protocol(p, &ss, &cfg, proto, &mut NoProbe)
                 .map(|rep| (proto, rep.total_computed(), rep.throughput_in(half, horizon)))
         });
         writeln!(
@@ -1063,6 +1006,19 @@ mod tests {
     fn simulate_rejects_bad_protocol() {
         let err = run(&["simulate", "example.json", "--protocol", "psychic"]).unwrap_err();
         assert!(matches!(err, CliError::BadValue { what: "--protocol", .. }));
+    }
+
+    #[test]
+    fn simulate_accepts_every_protocol() {
+        // `clocked` and `dynamic` used to be rejected here while `trace
+        // record` accepted them.
+        for protocol in ["clocked", "dynamic"] {
+            let out =
+                run(&["simulate", "example.json", "--horizon", "150", "--protocol", protocol])
+                    .unwrap();
+            assert!(out.contains(&format!("protocol          : {protocol}")), "{out}");
+            assert!(out.contains("predicted rate    : 10/9"), "{out}");
+        }
     }
 
     #[test]
@@ -1273,6 +1229,15 @@ mod tests {
             assert!(v["throughput"].as_f64().is_some());
             assert!(v["node_computed"].as_array().is_some());
         }
+    }
+
+    #[test]
+    fn monitor_runs_dynamic_strictly() {
+        let (out, _) =
+            run_io(&["monitor", "example.json", "--protocol", "dynamic", "--horizon", "360"])
+                .unwrap();
+        assert!(out.contains("protocol   : dynamic (strict mode)"), "{out}");
+        assert!(out.contains("violations : 0"), "{out}");
     }
 
     #[test]

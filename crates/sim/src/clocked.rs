@@ -22,10 +22,10 @@
 //! schedule needs the χ prefill (extra memory and a dead distribution
 //! phase) to start cleanly.
 
-use crate::engine::{tick_scale_hint, BufferTracker, EventQueue, SimConfig, SimReport};
+use crate::engine::{SimConfig, SimReport};
 use crate::error::SimError;
-use crate::gantt::SegmentKind;
-use crate::probe::{GanttProbe, Probe, TaskAction};
+use crate::kernel::{fits, with_gantt, Ev, Kernel, Policy};
+use crate::probe::{Probe, TaskAction};
 use bwfirst_core::schedule::TreeSchedule;
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
@@ -44,96 +44,43 @@ impl Default for ClockedConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// A node's compute window opens (period `T^c`).
-    CpuTick(NodeId),
-    /// A node's send window opens (period `T^s`).
-    SendTick(NodeId),
-    CpuEnd(NodeId),
-    PortEnd(NodeId),
-    Arrive(NodeId),
-}
-
-struct NodeState {
-    buffer: u64,
-    /// Remaining compute quota in the current `T^c` window.
-    cpu_quota: i128,
-    /// Remaining send quota per child (bandwidth-centric order).
-    send_quota: Vec<(NodeId, i128)>,
-    /// Children awaiting service once quota + buffer allow, FIFO by quota
-    /// refill order.
-    cpu_busy: bool,
-    port_busy: bool,
-    received: u64,
-    computed: u64,
-    /// Tasks injected into this node's buffer by the prefill.
-    prefilled: u64,
-}
-
-struct ClockedSim<'a, P: Probe> {
-    platform: &'a Platform,
+/// The Lemma 1 quota windows.
+struct Clocked<'a> {
     schedule: &'a TreeSchedule,
-    cfg: &'a SimConfig,
-    queue: EventQueue<Ev>,
-    nodes: Vec<NodeState>,
-    /// Per-node per-window quotas: (ρ_0 per T^c, [(child, φ_i)] per T^s).
+    prefill: bool,
+    /// Per-node compute quota: `ρ_0` tasks per `T^c` window.
     rho: Vec<i128>,
+    /// Per-node send quotas: `[(child, φ_i)]` per `T^s` window.
     phi: Vec<Vec<(NodeId, i128)>>,
-    buffers: BufferTracker,
-    probe: P,
-    completions: Vec<(Rat, NodeId)>,
-    injected: u64,
-    last_injection: Option<Rat>,
+    /// Remaining compute quota in each node's current window.
+    cpu_quota: Vec<i128>,
+    /// Remaining send quota per child (bandwidth-centric order).
+    send_quota: Vec<Vec<(NodeId, i128)>>,
 }
 
-impl<P: Probe> ClockedSim<'_, P> {
-    fn is_root(&self, node: NodeId) -> bool {
-        node == self.platform.root()
-    }
-
-    /// Takes a task from the node's stock (the root taps the source).
-    fn try_take(&mut self, node: NodeId, t: Rat) -> bool {
-        if self.is_root(node) {
-            if t >= self.cfg.injection_end()
-                || self.cfg.total_tasks.is_some_and(|n| self.injected >= n)
-            {
-                return false;
-            }
-            self.injected += 1;
-            self.last_injection = Some(t);
-            self.nodes[node.index()].received += 1;
-            self.probe.task_enter(node, t, false);
-            true
-        } else if self.nodes[node.index()].buffer > 0 {
-            self.nodes[node.index()].buffer -= 1;
-            self.buffers.add(node, t, -1);
-            self.probe.buffer(node, t, self.buffers.size(node));
-            true
-        } else {
-            false
-        }
-    }
-
-    fn try_cpu(&mut self, node: NodeId, t: Rat) {
+impl Clocked<'_> {
+    fn try_cpu<P: Probe>(&mut self, k: &mut Kernel<'_, P>, node: NodeId, t: Rat) {
         let i = node.index();
-        if self.nodes[i].cpu_busy || self.nodes[i].cpu_quota <= 0 {
+        if k.nodes[i].cpu_busy || self.cpu_quota[i] <= 0 {
             return;
         }
-        let Some(w) = self.platform.weight(node).time() else { return };
-        if !self.try_take(node, t) {
+        let Some(w) = k.platform.weight(node).time() else { return };
+        if !k.take(node, t) {
             return;
         }
-        self.nodes[i].cpu_quota -= 1;
-        self.nodes[i].cpu_busy = true;
-        self.probe.task_dispatch(node, t, TaskAction::Compute, None);
-        self.probe.segment(node, SegmentKind::Compute, t, t + w);
-        self.queue.push(t + w, Ev::CpuEnd(node));
+        self.cpu_quota[i] -= 1;
+        k.probe.task_dispatch(node, t, TaskAction::Compute, None);
+        k.start_cpu(node, t, w, 0);
     }
 
-    fn try_port(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
+    fn try_port<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        node: NodeId,
+        t: Rat,
+    ) -> Result<(), SimError> {
         let i = node.index();
-        if self.nodes[i].port_busy {
+        if k.nodes[i].send_busy {
             return Ok(());
         }
         // Serve the child with the largest remaining share of its window
@@ -143,104 +90,102 @@ impl<P: Probe> ClockedSim<'_, P> {
         // each child's φ quota across the window, which is what Lemma 1's
         // construction intends.
         let mut pos_best: Option<(Rat, usize)> = None;
-        for (pos, &(child, q)) in self.nodes[i].send_quota.iter().enumerate() {
+        for (pos, &(_, q)) in self.send_quota[i].iter().enumerate() {
             if q <= 0 {
                 continue;
             }
-            let total =
-                self.phi[i].iter().find(|&&(k, _)| k == child).map(|&(_, f)| f).unwrap_or(1).max(1);
-            let share = Rat::new(q, total);
+            let share = Rat::new(q, self.phi[i][pos].1.max(1));
             if pos_best.as_ref().is_none_or(|&(best, _)| share > best) {
                 pos_best = Some((share, pos));
             }
         }
         let Some((_, pos)) = pos_best else { return Ok(()) };
-        let child = self.nodes[i].send_quota[pos].0;
-        if !self.try_take(node, t) {
+        let child = self.send_quota[i][pos].0;
+        if !k.take(node, t) {
             return Ok(());
         }
-        self.nodes[i].send_quota[pos].1 -= 1;
-        self.nodes[i].port_busy = true;
-        self.probe.task_dispatch(node, t, TaskAction::Send(child), None);
-        let c = self.platform.link_time(child).ok_or(SimError::MissingLink(child))?;
-        self.probe.segment(node, SegmentKind::Send(child), t, t + c);
-        self.probe.segment(child, SegmentKind::Receive, t, t + c);
-        self.queue.push(t + c, Ev::PortEnd(node));
-        self.queue.push(t + c, Ev::Arrive(child));
+        self.send_quota[i][pos].1 -= 1;
+        k.probe.task_dispatch(node, t, TaskAction::Send(child), None);
+        let c = k.link(child)?;
+        k.start_hop(node, child, t, c, 0);
         Ok(())
     }
+}
 
-    fn run(mut self) -> Result<SimReport, SimError> {
+impl Policy for Clocked<'_> {
+    type Error = SimError;
+
+    fn start<P: Probe>(&mut self, k: &mut Kernel<'_, P>) -> Result<(), SimError> {
+        for s in self.schedule.iter() {
+            let i = s.node.index();
+            // ρ_0 tasks per T^c window: α = ρ_0 / T^c exactly.
+            self.rho[i] = s.psi_self * s.t_comp / s.t_omega;
+            debug_assert_eq!(self.rho[i] * s.t_omega, s.psi_self * s.t_comp);
+            // φ_i tasks per T^s window.
+            self.phi[i] =
+                s.psi_children.iter().map(|&(k, q)| (k, q * s.t_send / s.t_omega)).collect();
+            if let Some(chi) = s.chi_in.filter(|_| self.prefill) {
+                // `received` counts the stock too, so `received = computed +
+                // forwarded` still holds per node over a drained run.
+                k.nodes[i].received += chi as u64;
+                k.stock(s.node, Rat::ZERO, chi as i64);
+                for _ in 0..chi {
+                    k.probe.task_enter(s.node, Rat::ZERO, true);
+                }
+            }
+        }
         // Arm the clocks of every scheduled node.
         for s in self.schedule.iter() {
             if self.rho[s.node.index()] > 0 {
-                self.queue.push(Rat::ZERO, Ev::CpuTick(s.node));
+                k.queue.push(Rat::ZERO, Ev::CpuTick(s.node));
             }
             if !self.phi[s.node.index()].is_empty() {
-                self.queue.push(Rat::ZERO, Ev::SendTick(s.node));
+                k.queue.push(Rat::ZERO, Ev::SendTick(s.node));
             }
         }
-        while let Some((t, ev)) = self.queue.pop() {
-            if t > self.cfg.horizon {
-                break;
+        Ok(())
+    }
+
+    #[inline]
+    fn on_event<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        t: Rat,
+        ev: Ev,
+    ) -> Result<(), SimError> {
+        match ev {
+            Ev::CpuTick(node) => {
+                let s = self.schedule.get(node).ok_or(SimError::NoSchedule(node))?;
+                // Quota does not accumulate across windows: what the node
+                // failed to compute is lost (Lemma 1's windows are
+                // independent).
+                self.cpu_quota[node.index()] = self.rho[node.index()];
+                k.queue.push(t + Rat::from_int(s.t_comp), Ev::CpuTick(node));
+                self.try_cpu(k, node, t);
             }
-            self.probe.queue_depth(t, self.queue.len());
-            match ev {
-                Ev::CpuTick(node) => {
-                    let s = self.schedule.get(node).ok_or(SimError::NoSchedule(node))?;
-                    // Quota does not accumulate across windows: what the
-                    // node failed to compute is lost (Lemma 1's windows are
-                    // independent).
-                    self.nodes[node.index()].cpu_quota = self.rho[node.index()];
-                    self.queue.push(t + Rat::from_int(s.t_comp), Ev::CpuTick(node));
-                    self.try_cpu(node, t);
-                }
-                Ev::SendTick(node) => {
-                    let s = self.schedule.get(node).ok_or(SimError::NoSchedule(node))?;
-                    self.nodes[node.index()].send_quota = self.phi[node.index()].clone();
-                    self.queue.push(t + Rat::from_int(s.t_send), Ev::SendTick(node));
-                    self.try_port(node, t)?;
-                }
-                Ev::CpuEnd(node) => {
-                    let i = node.index();
-                    self.nodes[i].cpu_busy = false;
-                    self.nodes[i].computed += 1;
-                    self.completions.push((t, node));
-                    self.try_cpu(node, t);
-                }
-                Ev::PortEnd(node) => {
-                    self.nodes[node.index()].port_busy = false;
-                    self.try_port(node, t)?;
-                }
-                Ev::Arrive(node) => {
-                    let i = node.index();
-                    self.nodes[i].received += 1;
-                    self.nodes[i].buffer += 1;
-                    self.buffers.add(node, t, 1);
-                    self.probe.buffer(node, t, self.buffers.size(node));
-                    self.probe.task_delivered(node, t);
-                    self.try_cpu(node, t);
-                    self.try_port(node, t)?;
-                }
+            Ev::SendTick(node) => {
+                let s = self.schedule.get(node).ok_or(SimError::NoSchedule(node))?;
+                self.send_quota[node.index()] = self.phi[node.index()].clone();
+                k.queue.push(t + Rat::from_int(s.t_send), Ev::SendTick(node));
+                self.try_port(k, node, t)?;
             }
+            Ev::CpuEnd(node) => {
+                k.cpu_end(node, t, true);
+                self.try_cpu(k, node, t);
+            }
+            Ev::PortEnd(node) => {
+                k.nodes[node.index()].send_busy = false;
+                self.try_port(k, node, t)?;
+            }
+            Ev::Arrive(node, _) => {
+                k.receive(node, t);
+                k.probe.task_delivered(node, t);
+                self.try_cpu(k, node, t);
+                self.try_port(k, node, t)?;
+            }
+            _ => {}
         }
-        let exhausted = self.cfg.total_tasks.is_some_and(|n| self.injected >= n);
-        let injection_stopped_at = if exhausted {
-            self.last_injection
-        } else {
-            self.cfg.stop_injection_at.filter(|&s| s <= self.cfg.horizon)
-        };
-        self.completions.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        Ok(SimReport {
-            horizon: self.cfg.horizon,
-            injection_stopped_at,
-            completions: self.completions,
-            latencies: None,
-            computed: self.nodes.iter().map(|n| n.computed).collect(),
-            received: self.nodes.iter().map(|n| n.received + n.prefilled).collect(),
-            buffers: self.buffers.finalize(self.cfg.horizon),
-            gantt: None,
-        })
+        Ok(())
     }
 }
 
@@ -258,10 +203,7 @@ pub fn simulate(
     clocked: ClockedConfig,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    let mut probe = GanttProbe::new(cfg.record_gantt);
-    let mut rep = simulate_probed(platform, schedule, clocked, cfg, &mut probe)?;
-    rep.gantt = probe.into_gantt();
-    Ok(rep)
+    with_gantt(cfg, |probe| simulate_probed(platform, schedule, clocked, cfg, probe))
 }
 
 /// Simulates the clocked schedule, driving a custom [`Probe`].
@@ -269,6 +211,8 @@ pub fn simulate(
 ///
 /// # Errors
 /// [`SimError`] if the schedule and platform disagree mid-run.
+///
+/// [`GanttProbe`]: crate::GanttProbe
 pub fn simulate_probed(
     platform: &Platform,
     schedule: &TreeSchedule,
@@ -276,59 +220,19 @@ pub fn simulate_probed(
     cfg: &SimConfig,
     probe: &mut impl Probe,
 ) -> Result<SimReport, SimError> {
+    fits(platform, schedule)?;
     let n = platform.len();
-    let mut buffers = BufferTracker::new(n);
-    let mut rho = vec![0i128; n];
-    let mut phi: Vec<Vec<(NodeId, i128)>> = vec![Vec::new(); n];
-    let mut nodes: Vec<NodeState> = platform
-        .node_ids()
-        .map(|_| NodeState {
-            buffer: 0,
-            cpu_quota: 0,
-            send_quota: Vec::new(),
-            cpu_busy: false,
-            port_busy: false,
-            received: 0,
-            computed: 0,
-            prefilled: 0,
-        })
-        .collect();
-    for s in schedule.iter() {
-        let i = s.node.index();
-        // ρ_0 tasks per T^c window: α = ρ_0 / T^c exactly.
-        rho[i] = s.psi_self * s.t_comp / s.t_omega;
-        debug_assert_eq!(rho[i] * s.t_omega, s.psi_self * s.t_comp);
-        // φ_i tasks per T^s window.
-        phi[i] = s.psi_children.iter().map(|&(k, q)| (k, q * s.t_send / s.t_omega)).collect();
-        if clocked.prefill {
-            if let Some(chi) = s.chi_in {
-                nodes[i].buffer = chi as u64;
-                nodes[i].prefilled = chi as u64;
-                buffers.set(s.node, Rat::ZERO, chi as u64);
-                probe.buffer(s.node, Rat::ZERO, chi as u64);
-                for _ in 0..chi {
-                    probe.task_enter(s.node, Rat::ZERO, true);
-                }
-            }
-        }
-    }
-    ClockedSim {
-        platform,
+    let mut policy = Clocked {
         schedule,
-        cfg,
-        // Window ticks land at integer multiples of T^c/T^s, so the only
-        // fractional times come from compute/link durations.
-        queue: EventQueue::with_scale(cfg.queue_scale(tick_scale_hint(platform, &[]))),
-        nodes,
-        rho,
-        phi,
-        buffers,
-        probe,
-        completions: Vec::new(),
-        injected: 0,
-        last_injection: None,
-    }
-    .run()
+        prefill: clocked.prefill,
+        rho: vec![0; n],
+        phi: vec![Vec::new(); n],
+        cpu_quota: vec![0; n],
+        send_quota: vec![Vec::new(); n],
+    };
+    // Window ticks land at integer multiples of T^c/T^s, so the only
+    // fractional times come from compute/link durations.
+    Kernel::new(platform, cfg, &[], probe).run(&mut policy)
 }
 
 #[cfg(test)]

@@ -24,11 +24,13 @@
 //! greedy and can be non-optimal: start-up phases stretch and buffers grow
 //! compared with the event-driven schedule (experiment E7).
 
-use crate::engine::{tick_scale_hint, BufferTracker, EventQueue, SimConfig, SimReport};
+use crate::engine::{SimConfig, SimReport};
 use crate::gantt::SegmentKind;
-use crate::probe::{GanttProbe, Probe, TaskAction};
+use crate::kernel::{with_gantt, Ev, Kernel, Policy};
+use crate::probe::{Probe, TaskAction};
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
+use std::convert::Infallible;
 
 /// Tuning of the autonomous protocol.
 #[derive(Debug, Clone, Copy)]
@@ -54,19 +56,9 @@ impl DemandConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// CPU at `node` finished one task.
-    CpuEnd(NodeId),
-    /// The transfer with this token completed (frees the sender's port and
-    /// delivers the task). Stale tokens (interrupted transfers) are ignored.
-    TransferEnd { node: NodeId, token: u64 },
-}
-
 /// An in-progress transfer on a node's sending port.
 struct CurrentSend {
     child: NodeId,
-    slot: usize,
     token: u64,
     seg_start: Rat,
     end: Rat,
@@ -75,84 +67,63 @@ struct CurrentSend {
 /// A transfer paused by an interruption, with its remaining time.
 struct PausedSend {
     child: NodeId,
-    slot: usize,
     remaining: Rat,
-}
-
-struct NodeState {
-    buffer: u64,
-    inflight: u64,
-    outstanding: u64,
-    /// Pending requests from each child (indexed like `children`).
-    pending: Vec<u64>,
-    cpu_busy: bool,
-    current_send: Option<CurrentSend>,
-    paused: Vec<PausedSend>,
-    received: u64,
-    computed: u64,
-}
-
-struct DdSim<'a, P: Probe> {
-    platform: &'a Platform,
-    cfg: &'a SimConfig,
-    demand: DemandConfig,
-    queue: EventQueue<Ev>,
-    nodes: Vec<NodeState>,
-    /// Children of each node in bandwidth-centric order, with their index in
-    /// the platform's child list (for `pending` lookups).
-    serve_order: Vec<Vec<(NodeId, usize)>>,
-    buffers: BufferTracker,
-    probe: P,
-    completions: Vec<(Rat, NodeId)>,
-    injected: u64,
-    last_injection: Option<Rat>,
-    next_token: u64,
 }
 
 /// What the port could do next.
 enum Candidate {
     Resume(usize),
-    Fresh { child: NodeId, slot: usize },
+    Fresh(NodeId),
 }
 
-impl<P: Probe> DdSim<'_, P> {
-    fn is_root(&self, node: NodeId) -> bool {
-        node == self.platform.root()
-    }
+/// Threshold requests up the tree, served fastest link first. The sending
+/// port's state is the token-stamped current transfer plus the paused ones.
+struct Demand {
+    demand: DemandConfig,
+    /// Link time into each node (zero for the root).
+    link: Vec<Rat>,
+    /// Children of each node in bandwidth-centric order.
+    serve_order: Vec<Vec<NodeId>>,
+    inflight: Vec<u64>,
+    /// Requests each node has pending with its parent.
+    outstanding: Vec<u64>,
+    /// Requests pending at each node from its children (the sum of their
+    /// `outstanding`).
+    requested: Vec<u64>,
+    current: Vec<Option<CurrentSend>>,
+    paused: Vec<Vec<PausedSend>>,
+    next_token: u64,
+}
 
-    /// Root stock is the outside world: unlimited until cut off.
-    fn root_has_supply(&self, t: Rat) -> bool {
-        if t >= self.cfg.injection_end() {
-            return false;
+impl Demand {
+    fn new(platform: &Platform, demand: DemandConfig) -> Demand {
+        let n = platform.len();
+        let link: Vec<Rat> =
+            platform.node_ids().map(|id| platform.link_time(id).unwrap_or(Rat::ZERO)).collect();
+        Demand {
+            demand,
+            link,
+            serve_order: platform
+                .node_ids()
+                .map(|id| platform.children_bandwidth_centric(id))
+                .collect(),
+            inflight: vec![0; n],
+            outstanding: vec![0; n],
+            requested: vec![0; n],
+            current: (0..n).map(|_| None).collect(),
+            paused: (0..n).map(|_| Vec::new()).collect(),
+            next_token: 0,
         }
-        self.cfg.total_tasks.is_none_or(|total| self.injected < total)
     }
 
-    /// Takes one task from the node's stock; for the root this injects a
-    /// fresh task from the source.
-    fn take_task(&mut self, node: NodeId, t: Rat) {
-        if self.is_root(node) {
-            self.injected += 1;
-            self.last_injection = Some(t);
-            self.nodes[node.index()].received += 1;
-            self.probe.task_enter(node, t, false);
+    /// Tasks `node` could hand out now: the root's source is unlimited
+    /// until cut off.
+    fn stock<P: Probe>(&self, k: &Kernel<'_, P>, node: NodeId, t: Rat) -> u64 {
+        if node == k.root() {
+            u64::from(k.supply(t))
         } else {
-            self.nodes[node.index()].buffer -= 1;
-            self.buffers.add(node, t, -1);
-            self.probe.buffer(node, t, self.buffers.size(node));
+            k.buffers.size(node)
         }
-    }
-
-    fn stock(&self, node: NodeId, t: Rat) -> u64 {
-        if self.is_root(node) {
-            u64::from(self.root_has_supply(t))
-        } else {
-            self.nodes[node.index()].buffer
-        }
-    }
-
-    fn link(&self, child: NodeId) -> Rat {
-        self.platform.link_time(child).expect("child link")
     }
 
     /// Re-issues requests so that stock + in-flight + outstanding covers the
@@ -161,206 +132,189 @@ impl<P: Probe> DdSim<'_, P> {
     /// propagates from the actual consumers up to the root — a pure switch
     /// never hoards tasks nobody downstream asked for. Control messages are
     /// instantaneous.
-    fn replenish(&mut self, node: NodeId, t: Rat) {
-        if self.is_root(node) {
-            return;
-        }
+    fn replenish<P: Probe>(&mut self, k: &mut Kernel<'_, P>, node: NodeId, t: Rat) {
         let i = node.index();
+        let Some(parent) = k.platform.parent(node) else { return };
         let own =
-            if self.platform.weight(node).time().is_some() { self.demand.buffer_target } else { 0 };
-        let downstream: u64 = self.nodes[i].pending.iter().sum();
-        let desired = own + downstream;
-        let have = self.nodes[i].buffer + self.nodes[i].inflight + self.nodes[i].outstanding;
+            if k.platform.weight(node).time().is_some() { self.demand.buffer_target } else { 0 };
+        let desired = own + self.requested[i];
+        let have = k.buffers.size(node) + self.inflight[i] + self.outstanding[i];
         if have >= desired {
             return;
         }
         let deficit = desired - have;
-        self.nodes[i].outstanding += deficit;
-        let parent = self.platform.parent(node).expect("non-root");
-        let slot =
-            self.platform.children(parent).iter().position(|&k| k == node).expect("child slot");
-        self.nodes[parent.index()].pending[slot] += deficit;
+        self.outstanding[i] += deficit;
+        self.requested[parent.index()] += deficit;
         // Demand travels upward before the parent decides what to do.
-        self.replenish(parent, t);
-        self.dispatch(parent, t);
+        self.replenish(k, parent, t);
+        self.dispatch(k, parent, t);
     }
 
     /// The best next use of the sending port: the fastest link among paused
     /// transfers and (stock permitting) fresh requests.
-    fn best_candidate(&self, node: NodeId, t: Rat) -> Option<(Rat, Candidate)> {
+    fn best_candidate<P: Probe>(
+        &self,
+        k: &Kernel<'_, P>,
+        node: NodeId,
+        t: Rat,
+    ) -> Option<(Rat, Candidate)> {
         let i = node.index();
         let mut best: Option<(Rat, Candidate)> = None;
-        for (pi, p) in self.nodes[i].paused.iter().enumerate() {
-            let c = self.link(p.child);
+        for (pi, p) in self.paused[i].iter().enumerate() {
+            let c = self.link[p.child.index()];
             if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
                 best = Some((c, Candidate::Resume(pi)));
             }
         }
-        if self.stock(node, t) > 0 {
-            if let Some(&(child, slot)) =
-                self.serve_order[i].iter().find(|&&(_, slot)| self.nodes[i].pending[slot] > 0)
+        if self.stock(k, node, t) > 0 {
+            if let Some(&child) =
+                self.serve_order[i].iter().find(|c| self.outstanding[c.index()] > 0)
             {
-                let c = self.link(child);
+                let c = self.link[child.index()];
                 if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
-                    best = Some((c, Candidate::Fresh { child, slot }));
+                    best = Some((c, Candidate::Fresh(child)));
                 }
             }
         }
         best
     }
 
-    fn start_send(&mut self, node: NodeId, t: Rat, cand: Candidate) {
+    fn start_send<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        node: NodeId,
+        t: Rat,
+        cand: Candidate,
+    ) {
         let i = node.index();
         let token = self.next_token;
         self.next_token += 1;
-        let (child, slot, duration) = match cand {
+        let (child, duration) = match cand {
             Candidate::Resume(pi) => {
-                let p = self.nodes[i].paused.swap_remove(pi);
-                (p.child, p.slot, p.remaining)
+                let p = self.paused[i].swap_remove(pi);
+                (p.child, p.remaining)
             }
-            Candidate::Fresh { child, slot } => {
-                self.take_task(node, t);
-                self.probe.task_dispatch(node, t, TaskAction::Send(child), None);
-                let i = node.index();
-                self.nodes[i].pending[slot] -= 1;
-                let ci = child.index();
-                self.nodes[ci].outstanding -= 1;
-                self.nodes[ci].inflight += 1;
-                (child, slot, self.link(child))
+            Candidate::Fresh(child) => {
+                k.take(node, t);
+                k.probe.task_dispatch(node, t, TaskAction::Send(child), None);
+                self.outstanding[child.index()] -= 1;
+                self.requested[i] -= 1;
+                self.inflight[child.index()] += 1;
+                (child, self.link[child.index()])
             }
         };
-        self.nodes[i].current_send =
-            Some(CurrentSend { child, slot, token, seg_start: t, end: t + duration });
-        self.queue.push(t + duration, Ev::TransferEnd { node, token });
+        self.current[i] = Some(CurrentSend { child, token, seg_start: t, end: t + duration });
+        k.queue.push(t + duration, Ev::Transfer { from: node, token });
     }
 
-    /// Pauses the ongoing transfer (interruptible model only).
-    fn interrupt(&mut self, node: NodeId, t: Rat) {
+    /// Pauses the ongoing transfer (interruptible model only). Its pending
+    /// [`Ev::Transfer`] becomes stale: the token no longer matches.
+    fn interrupt<P: Probe>(&mut self, k: &mut Kernel<'_, P>, node: NodeId, t: Rat) {
         let i = node.index();
-        let cur = self.nodes[i].current_send.take().expect("send in progress");
+        let Some(cur) = self.current[i].take() else { return };
         if t > cur.seg_start {
-            self.probe.segment(node, SegmentKind::Send(cur.child), cur.seg_start, t);
-            self.probe.segment(cur.child, SegmentKind::Receive, cur.seg_start, t);
+            k.probe.segment(node, SegmentKind::Send(cur.child), cur.seg_start, t);
+            k.probe.segment(cur.child, SegmentKind::Receive, cur.seg_start, t);
         }
-        self.nodes[i].paused.push(PausedSend {
-            child: cur.child,
-            slot: cur.slot,
-            remaining: cur.end - t,
-        });
-        // The old TransferEnd event becomes stale: its token no longer
-        // matches any current send.
+        self.paused[i].push(PausedSend { child: cur.child, remaining: cur.end - t });
     }
 
     /// Serves pending child requests (port) and the local CPU.
-    fn dispatch(&mut self, node: NodeId, t: Rat) {
+    fn dispatch<P: Probe>(&mut self, k: &mut Kernel<'_, P>, node: NodeId, t: Rat) {
         let i = node.index();
         // Interruptible model: a strictly faster candidate preempts.
         if self.demand.interruptible {
-            if let Some(cur) = &self.nodes[i].current_send {
-                let cur_c = self.link(cur.child);
-                if let Some((cand_c, _)) = self.best_candidate(node, t) {
-                    if cand_c < cur_c {
-                        self.interrupt(node, t);
-                    }
+            if let Some(cur) = &self.current[i] {
+                let cur_c = self.link[cur.child.index()];
+                if self.best_candidate(k, node, t).is_some_and(|(cand_c, _)| cand_c < cur_c) {
+                    self.interrupt(k, node, t);
                 }
             }
         }
-        if self.nodes[i].current_send.is_none() {
-            if let Some((_, cand)) = self.best_candidate(node, t) {
-                self.start_send(node, t, cand);
-                self.replenish(node, t);
+        if self.current[i].is_none() {
+            if let Some((_, cand)) = self.best_candidate(k, node, t) {
+                self.start_send(k, node, t, cand);
+                self.replenish(k, node, t);
             }
         }
         // Then the CPU.
-        let i = node.index();
-        if !self.nodes[i].cpu_busy && self.stock(node, t) > 0 {
-            if let Some(w) = self.platform.weight(node).time() {
-                self.take_task(node, t);
-                self.probe.task_dispatch(node, t, TaskAction::Compute, None);
-                self.nodes[node.index()].cpu_busy = true;
-                self.probe.segment(node, SegmentKind::Compute, t, t + w);
-                self.queue.push(t + w, Ev::CpuEnd(node));
-                self.replenish(node, t);
+        if !k.nodes[i].cpu_busy && self.stock(k, node, t) > 0 {
+            if let Some(w) = k.platform.weight(node).time() {
+                k.take(node, t);
+                k.probe.task_dispatch(node, t, TaskAction::Compute, None);
+                k.start_cpu(node, t, w, 0);
+                self.replenish(k, node, t);
             }
         }
     }
 
-    fn on_transfer_end(&mut self, node: NodeId, token: u64, t: Rat) {
-        let i = node.index();
-        let valid = self.nodes[i].current_send.as_ref().is_some_and(|c| c.token == token);
-        if !valid {
-            return; // interrupted transfer's stale completion
-        }
-        let cur = self.nodes[i].current_send.take().expect("send in progress");
-        self.probe.segment(node, SegmentKind::Send(cur.child), cur.seg_start, t);
-        self.probe.segment(cur.child, SegmentKind::Receive, cur.seg_start, t);
+    fn on_transfer_end<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        node: NodeId,
+        token: u64,
+        t: Rat,
+    ) {
+        // An interrupted transfer's stale completion matches no current send.
+        let Some(cur) = self.current[node.index()].take_if(|c| c.token == token) else { return };
+        k.probe.segment(node, SegmentKind::Send(cur.child), cur.seg_start, t);
+        k.probe.segment(cur.child, SegmentKind::Receive, cur.seg_start, t);
         let child = cur.child;
-        let ci = child.index();
-        self.nodes[ci].received += 1;
-        self.nodes[ci].inflight -= 1;
-        self.nodes[ci].buffer += 1;
-        self.buffers.add(child, t, 1);
-        self.probe.buffer(child, t, self.buffers.size(child));
-        self.probe.task_delivered(child, t);
-        self.replenish(child, t);
-        self.dispatch(child, t);
-        self.dispatch(node, t);
+        self.inflight[child.index()] -= 1;
+        k.receive(child, t);
+        k.probe.task_delivered(child, t);
+        self.replenish(k, child, t);
+        self.dispatch(k, child, t);
+        self.dispatch(k, node, t);
     }
+}
 
-    fn run(mut self) -> SimReport {
+impl Policy for Demand {
+    /// The protocol accepts any platform.
+    type Error = Infallible;
+
+    fn start<P: Probe>(&mut self, k: &mut Kernel<'_, P>) -> Result<(), Infallible> {
         // Every non-root node issues its initial demand at t = 0, which
         // cascades requests up to the root.
-        for id in self.platform.node_ids().skip(1).collect::<Vec<_>>() {
-            self.replenish(id, Rat::ZERO);
+        for i in 1..k.nodes.len() {
+            self.replenish(k, NodeId(i as u32), Rat::ZERO);
         }
-        self.dispatch(self.platform.root(), Rat::ZERO);
-        while let Some((t, ev)) = self.queue.pop() {
-            if t > self.cfg.horizon {
-                break;
+        let root = k.root();
+        self.dispatch(k, root, Rat::ZERO);
+        Ok(())
+    }
+
+    #[inline]
+    fn on_event<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        t: Rat,
+        ev: Ev,
+    ) -> Result<(), Infallible> {
+        match ev {
+            Ev::CpuEnd(node) => {
+                k.cpu_end(node, t, true);
+                self.dispatch(k, node, t);
             }
-            self.probe.queue_depth(t, self.queue.len());
-            match ev {
-                Ev::CpuEnd(node) => {
-                    let i = node.index();
-                    self.nodes[i].cpu_busy = false;
-                    self.nodes[i].computed += 1;
-                    self.completions.push((t, node));
-                    self.dispatch(node, t);
-                }
-                Ev::TransferEnd { node, token } => self.on_transfer_end(node, token, t),
-            }
+            Ev::Transfer { from, token } => self.on_transfer_end(k, from, token, t),
+            _ => {}
         }
-        let exhausted = self.cfg.total_tasks.is_some_and(|total| self.injected >= total);
-        let injection_stopped_at = if exhausted {
-            self.last_injection
-        } else {
-            self.cfg.stop_injection_at.filter(|&s| s <= self.cfg.horizon)
-        };
-        self.completions.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        SimReport {
-            horizon: self.cfg.horizon,
-            injection_stopped_at,
-            completions: self.completions,
-            latencies: None,
-            computed: self.nodes.iter().map(|n| n.computed).collect(),
-            received: self.nodes.iter().map(|n| n.received).collect(),
-            buffers: self.buffers.finalize(self.cfg.horizon),
-            gantt: None,
-        }
+        Ok(())
     }
 }
 
 /// Simulates the demand-driven autonomous protocol.
 #[must_use]
 pub fn simulate(platform: &Platform, demand: DemandConfig, cfg: &SimConfig) -> SimReport {
-    let mut probe = GanttProbe::new(cfg.record_gantt);
-    let mut rep = simulate_probed(platform, demand, cfg, &mut probe);
-    rep.gantt = probe.into_gantt();
+    let Ok(rep) =
+        with_gantt(cfg, |probe| Ok::<_, Infallible>(simulate_probed(platform, demand, cfg, probe)));
     rep
 }
 
 /// Simulates the demand-driven protocol, driving a custom [`Probe`].
 /// The report's `gantt` is `None`; plug in a [`GanttProbe`] to collect one.
+///
+/// [`GanttProbe`]: crate::GanttProbe
 #[must_use]
 pub fn simulate_probed(
     platform: &Platform,
@@ -368,52 +322,11 @@ pub fn simulate_probed(
     cfg: &SimConfig,
     probe: &mut impl Probe,
 ) -> SimReport {
-    let n = platform.len();
-    let serve_order = platform
-        .node_ids()
-        .map(|id| {
-            platform
-                .children_bandwidth_centric(id)
-                .into_iter()
-                .map(|k| {
-                    let slot = platform.children(id).iter().position(|&x| x == k).expect("slot");
-                    (k, slot)
-                })
-                .collect()
-        })
-        .collect();
-    let nodes = platform
-        .node_ids()
-        .map(|id| NodeState {
-            buffer: 0,
-            inflight: 0,
-            outstanding: 0,
-            pending: vec![0; platform.children(id).len()],
-            cpu_busy: false,
-            current_send: None,
-            paused: Vec::new(),
-            received: 0,
-            computed: 0,
-        })
-        .collect();
-    DdSim {
-        platform,
-        cfg,
-        demand,
-        // Requests are instantaneous: every event time is a sum of compute
-        // and link durations (interruption remainders are differences of
-        // the same sums, so their denominators divide the same scale).
-        queue: EventQueue::with_scale(cfg.queue_scale(tick_scale_hint(platform, &[]))),
-        nodes,
-        serve_order,
-        buffers: BufferTracker::new(n),
-        probe,
-        completions: Vec::new(),
-        injected: 0,
-        last_injection: None,
-        next_token: 0,
-    }
-    .run()
+    // Requests are instantaneous: every event time is a sum of compute
+    // and link durations (interruption remainders are differences of
+    // the same sums, so their denominators divide the same scale).
+    let Ok(rep) = Kernel::new(platform, cfg, &[], probe).run(&mut Demand::new(platform, demand));
+    rep
 }
 
 #[cfg(test)]

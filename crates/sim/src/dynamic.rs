@@ -17,15 +17,16 @@
 //!
 //! Experiment E18 compares the two policies around a mid-run degradation.
 
-use crate::engine::{tick_scale_hint, BufferTracker, EventQueue, SimConfig, SimReport};
+use crate::engine::{SimConfig, SimReport};
 use crate::error::SimError;
-use crate::gantt::SegmentKind;
-use crate::probe::{GanttProbe, Probe, TaskAction};
-use bwfirst_core::schedule::{EventDrivenSchedule, LocalScheduleKind, SlotAction};
+use crate::event_driven::{EventDriven, StartupPolicy, Stride};
+use crate::kernel::{Ev, Kernel, Policy};
+use crate::probe::{GanttProbe, Probe};
+use bwfirst_core::schedule::{EventDrivenSchedule, LocalScheduleKind};
 use bwfirst_core::{bw_first, SteadyState};
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
-use std::collections::VecDeque;
+use std::borrow::Cow;
 
 /// A scheduled change to one link's communication time.
 #[derive(Debug, Clone, Copy)]
@@ -52,216 +53,62 @@ pub enum AdaptPolicy {
     },
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    Release,
-    Arrive(NodeId),
-    CpuEnd(NodeId),
-    PortEnd(NodeId),
-    /// Apply the `idx`-th link change.
-    Change(usize),
-    /// Recompute and swap schedules.
-    Adapt,
-}
-
-struct NodeState {
-    cursor: usize,
-    pending_cpu: u64,
-    send_queue: VecDeque<NodeId>,
-    cpu_busy: bool,
-    port_busy: bool,
-    received: u64,
-    computed: u64,
-}
-
-struct DynSim<P: Probe> {
-    platform: Platform,
-    schedule: EventDrivenSchedule,
-    cfg: SimConfig,
-    changes: Vec<LinkChange>,
-    queue: EventQueue<Ev>,
-    nodes: Vec<NodeState>,
-    buffers: BufferTracker,
-    probe: P,
-    completions: Vec<(Rat, NodeId)>,
-    injected: u64,
-    last_release: Option<Rat>,
-    release_step: Rat,
+/// The event-driven policy plus the link-change and adaptation stream.
+struct Dynamic<'a> {
+    inner: EventDriven<'a>,
+    changes: &'a [LinkChange],
+    policy: AdaptPolicy,
     /// Times at which the schedule was swapped.
     adaptations: Vec<Rat>,
 }
 
-impl<P: Probe> DynSim<P> {
-    fn active(&self, node: NodeId) -> bool {
-        self.schedule.local(node).is_some()
-    }
-
-    fn assign(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
-        if !self.active(node) {
-            // A node the *new* schedule prunes may still hold tasks routed
-            // by the old one: compute them locally rather than strand them.
-            self.probe.task_dispatch(node, t, TaskAction::Compute, None);
-            self.nodes[node.index()].pending_cpu += 1;
-            self.try_cpu(node, t);
-            return Ok(());
-        }
-        let i = node.index();
-        let actions = &self.schedule.local(node).ok_or(SimError::NoSchedule(node))?.actions;
-        let len = actions.len();
-        let cursor = self.nodes[i].cursor % len;
-        let action = actions[cursor];
-        self.nodes[i].cursor = (cursor + 1) % len;
-        let routed = match action {
-            SlotAction::Compute => TaskAction::Compute,
-            SlotAction::Send(child) => TaskAction::Send(child),
-        };
-        self.probe.task_dispatch(node, t, routed, Some(cursor as u64));
-        match action {
-            SlotAction::Compute => {
-                self.nodes[i].pending_cpu += 1;
-                self.try_cpu(node, t);
-            }
-            SlotAction::Send(child) => {
-                self.nodes[i].send_queue.push_back(child);
-                self.try_port(node, t)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn try_cpu(&mut self, node: NodeId, t: Rat) {
-        let i = node.index();
-        if self.nodes[i].cpu_busy || self.nodes[i].pending_cpu == 0 {
-            return;
-        }
-        let Some(w) = self.platform.weight(node).time() else {
-            // A switch stuck with stranded compute assignments: drop them to
-            // its children is not possible without a schedule; count as
-            // forwarded loss — in practice this cannot arise because
-            // switches never get Compute actions and pruned switches hold
-            // no tasks. Guard anyway.
-            self.nodes[i].pending_cpu = 0;
-            return;
-        };
-        self.nodes[i].pending_cpu -= 1;
-        self.nodes[i].cpu_busy = true;
-        self.buffers.add(node, t, -1);
-        self.probe.buffer(node, t, self.buffers.size(node));
-        self.probe.segment(node, SegmentKind::Compute, t, t + w);
-        self.queue.push(t + w, Ev::CpuEnd(node));
-    }
-
-    fn try_port(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
-        let i = node.index();
-        if self.nodes[i].port_busy {
-            return Ok(());
-        }
-        let Some(child) = self.nodes[i].send_queue.pop_front() else { return Ok(()) };
-        let c = self.platform.link_time(child).ok_or(SimError::MissingLink(child))?;
-        self.nodes[i].port_busy = true;
-        self.buffers.add(node, t, -1);
-        self.probe.buffer(node, t, self.buffers.size(node));
-        self.probe.segment(node, SegmentKind::Send(child), t, t + c);
-        self.probe.segment(child, SegmentKind::Receive, t, t + c);
-        self.queue.push(t + c, Ev::PortEnd(node));
-        self.queue.push(t + c, Ev::Arrive(child));
-        Ok(())
-    }
-
-    fn on_arrive(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
-        self.nodes[node.index()].received += 1;
-        self.buffers.add(node, t, 1);
-        self.probe.buffer(node, t, self.buffers.size(node));
-        self.assign(node, t)
-    }
-
-    fn schedule_next_release(&mut self, t: Rat) {
-        if let Some(total) = self.cfg.total_tasks {
-            if self.injected >= total {
-                return;
-            }
-        }
-        if t >= self.cfg.injection_end() {
-            return;
-        }
-        self.queue.push(t, Ev::Release);
-    }
-
+impl Dynamic<'_> {
     /// Recomputes the optimal schedule for the platform's *current* state
     /// and swaps every node onto it.
-    fn adapt(&mut self, t: Rat) -> Result<(), SimError> {
-        let ss = SteadyState::from_solution(&bw_first(&self.platform));
+    fn adapt<P: Probe>(&mut self, k: &Kernel<'_, P>, t: Rat) -> Result<(), SimError> {
+        let ss = SteadyState::from_solution(&bw_first(&k.platform));
         if !ss.throughput.is_positive() {
             return Ok(()); // nothing schedulable; keep the old one
         }
-        self.schedule =
-            EventDrivenSchedule::build(&self.platform, &ss, LocalScheduleKind::Interleaved)?;
-        for n in &mut self.nodes {
-            n.cursor = 0;
-        }
-        let root_sched =
-            self.schedule.tree.get(self.platform.root()).ok_or(SimError::InactiveRoot)?;
-        self.release_step = Rat::from_int(root_sched.t_omega) / Rat::from_int(root_sched.bunch);
+        let schedule =
+            EventDrivenSchedule::build(&k.platform, &ss, LocalScheduleKind::Interleaved)?;
+        self.inner.stride = Stride::new(&k.platform, Cow::Owned(schedule))?;
+        self.inner.replanned = true;
         self.adaptations.push(t);
         Ok(())
     }
+}
 
-    fn run(mut self) -> Result<(SimReport, Vec<Rat>), SimError> {
-        self.schedule_next_release(Rat::ZERO);
-        while let Some((t, ev)) = self.queue.pop() {
-            if t > self.cfg.horizon {
-                break;
-            }
-            self.probe.queue_depth(t, self.queue.len());
-            match ev {
-                Ev::Release => {
-                    self.injected += 1;
-                    self.last_release = Some(t);
-                    self.probe.task_enter(self.platform.root(), t, false);
-                    self.on_arrive(self.platform.root(), t)?;
-                    let step = self.release_step;
-                    self.schedule_next_release(t + step);
-                }
-                Ev::Arrive(node) => {
-                    self.probe.task_delivered(node, t);
-                    self.on_arrive(node, t)?;
-                }
-                Ev::CpuEnd(node) => {
-                    let i = node.index();
-                    self.nodes[i].cpu_busy = false;
-                    self.nodes[i].computed += 1;
-                    self.completions.push((t, node));
-                    self.try_cpu(node, t);
-                }
-                Ev::PortEnd(node) => {
-                    self.nodes[node.index()].port_busy = false;
-                    self.try_port(node, t)?;
-                }
-                Ev::Change(idx) => {
-                    let ch = self.changes[idx];
-                    self.platform.set_link_time(ch.child, ch.new_c);
-                }
-                Ev::Adapt => self.adapt(t)?,
+impl Policy for Dynamic<'_> {
+    type Error = SimError;
+
+    fn start<P: Probe>(&mut self, k: &mut Kernel<'_, P>) -> Result<(), SimError> {
+        for (idx, ch) in self.changes.iter().enumerate() {
+            k.queue.push(ch.at, Ev::Change(idx));
+            if let AdaptPolicy::Renegotiate { delay } = self.policy {
+                k.queue.push(ch.at + delay, Ev::Adapt);
             }
         }
-        let exhausted = self.cfg.total_tasks.is_some_and(|n| self.injected >= n);
-        let injection_stopped_at = if exhausted {
-            self.last_release
-        } else {
-            self.cfg.stop_injection_at.filter(|&s| s <= self.cfg.horizon)
-        };
-        self.completions.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let report = SimReport {
-            horizon: self.cfg.horizon,
-            injection_stopped_at,
-            completions: self.completions,
-            latencies: None,
-            computed: self.nodes.iter().map(|n| n.computed).collect(),
-            received: self.nodes.iter().map(|n| n.received).collect(),
-            buffers: self.buffers.finalize(self.cfg.horizon),
-            gantt: None,
-        };
-        Ok((report, self.adaptations))
+        self.inner.start(k)
+    }
+
+    #[inline]
+    fn on_event<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        t: Rat,
+        ev: Ev,
+    ) -> Result<(), SimError> {
+        match ev {
+            Ev::Change(idx) => {
+                if let Some(ch) = self.changes.get(idx) {
+                    k.platform.to_mut().set_link_time(ch.child, ch.new_c);
+                }
+                Ok(())
+            }
+            Ev::Adapt => self.adapt(k, t),
+            ev => self.inner.on_event(k, t, ev),
+        }
     }
 }
 
@@ -303,14 +150,13 @@ pub fn simulate_dynamic_probed(
     if !ss.throughput.is_positive() {
         return Err(SimError::NotSchedulable);
     }
-    let schedule = EventDrivenSchedule::standard(platform, &ss)?;
-    let root_sched = schedule.tree.get(platform.root()).ok_or(SimError::InactiveRoot)?;
-    let release_step = Rat::from_int(root_sched.t_omega) / Rat::from_int(root_sched.bunch);
+    let schedule = Cow::Owned(EventDrivenSchedule::standard(platform, &ss)?);
+    let inner = EventDriven::new(platform, schedule, StartupPolicy::EventDriven)?;
     // Scale hint: the initial platform durations plus the announced change
     // times, their new link costs, and the adaptation delay. A re-derived
     // schedule's release step may still miss this scale — such events simply
     // demote to the exact lane one by one.
-    let mut extras = vec![release_step];
+    let mut extras = vec![inner.stride.release_step];
     for ch in changes {
         extras.push(ch.at);
         extras.push(ch.new_c);
@@ -318,39 +164,9 @@ pub fn simulate_dynamic_probed(
     if let AdaptPolicy::Renegotiate { delay } = policy {
         extras.push(delay);
     }
-    let n = platform.len();
-    let mut sim = DynSim {
-        platform: platform.clone(),
-        schedule,
-        cfg: cfg.clone(),
-        changes: changes.to_vec(),
-        queue: EventQueue::with_scale(cfg.queue_scale(tick_scale_hint(platform, &extras))),
-        nodes: (0..n)
-            .map(|_| NodeState {
-                cursor: 0,
-                pending_cpu: 0,
-                send_queue: VecDeque::new(),
-                cpu_busy: false,
-                port_busy: false,
-                received: 0,
-                computed: 0,
-            })
-            .collect(),
-        buffers: BufferTracker::new(n),
-        probe,
-        completions: Vec::new(),
-        injected: 0,
-        last_release: None,
-        release_step,
-        adaptations: Vec::new(),
-    };
-    for (idx, ch) in changes.iter().enumerate() {
-        sim.queue.push(ch.at, Ev::Change(idx));
-        if let AdaptPolicy::Renegotiate { delay } = policy {
-            sim.queue.push(ch.at + delay, Ev::Adapt);
-        }
-    }
-    sim.run()
+    let mut dynamic = Dynamic { inner, changes, policy, adaptations: Vec::new() };
+    let report = Kernel::new(platform, cfg, &extras, probe).run(&mut dynamic)?;
+    Ok((report, dynamic.adaptations))
 }
 
 #[cfg(test)]

@@ -141,6 +141,7 @@ pub(crate) struct EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// An exact-keyed queue (no tick rescaling).
+    #[allow(dead_code)] // the unit tests build exact queues directly
     pub fn new() -> Self {
         EventQueue::with_scale(None)
     }

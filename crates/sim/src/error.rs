@@ -29,6 +29,11 @@ pub enum SimError {
     /// The platform's steady state has zero throughput; the executor cannot
     /// pace injection.
     NotSchedulable,
+    /// The schedule was built for another platform: it schedules this node,
+    /// or a send to it, where the platform has no such node or edge.
+    ForeignSchedule(NodeId),
+    /// The executor does not accept this input (the reason says why).
+    BadInput(&'static str),
 }
 
 impl fmt::Display for SimError {
@@ -41,6 +46,10 @@ impl fmt::Display for SimError {
             SimError::SwitchComputes(n) => write!(f, "{n} is a switch but was told to compute"),
             SimError::EmptyQueue(n) => write!(f, "{n} scheduled work with an empty queue"),
             SimError::NotSchedulable => write!(f, "steady state has zero throughput"),
+            SimError::ForeignSchedule(n) => {
+                write!(f, "the schedule does not fit this platform at {n}")
+            }
+            SimError::BadInput(why) => f.write_str(why),
         }
     }
 }

@@ -20,14 +20,14 @@
 //!   stays off until it has received its steady-state stock `χ_{-1}`, so
 //!   the start-up performs no useful computation.
 
-use crate::engine::{tick_scale_hint, BufferTracker, EventQueue, SimConfig, SimReport};
+use crate::engine::{SimConfig, SimReport};
 use crate::error::SimError;
-use crate::gantt::SegmentKind;
-use crate::probe::{GanttProbe, Probe, TaskAction};
-use bwfirst_core::schedule::{EventDrivenSchedule, SlotAction};
+use crate::kernel::{fits, with_gantt, Ev, Kernel, Policy};
+use crate::probe::{Probe, TaskAction};
+use bwfirst_core::schedule::EventDrivenSchedule;
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
-use std::collections::VecDeque;
+use std::borrow::Cow;
 
 /// How nodes behave before reaching steady state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,199 +39,140 @@ pub enum StartupPolicy {
     Prefill,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// The root releases (generates) one task.
-    Release,
-    /// A task arrives at a node (end of an incoming transfer); the stamp is
-    /// the task's injection time at the root, for sojourn accounting.
-    Arrive(NodeId, Rat),
-    /// A node's CPU finishes one task.
-    CpuEnd(NodeId),
-    /// A node's sending port finishes one transfer.
-    PortEnd(NodeId),
+/// The Ψ-bunch stride: each node's cyclic position in its local schedule,
+/// and the root's release step `T^ω / Ψ`.
+pub(crate) struct Stride<'a> {
+    pub schedule: Cow<'a, EventDrivenSchedule>,
+    cursor: Vec<usize>,
+    pub release_step: Rat,
 }
 
-struct NodeState {
-    /// Cyclic position in the local schedule.
-    cursor: usize,
-    /// Injection stamps of tasks assigned to the CPU, not yet started.
-    pending_cpu: VecDeque<Rat>,
-    /// Send targets in assignment order with their tasks' stamps.
-    send_queue: VecDeque<(NodeId, Rat)>,
-    cpu_busy: bool,
-    /// Stamp of the task currently on the CPU.
-    cpu_stamp: Rat,
-    port_busy: bool,
-    compute_enabled: bool,
-    received: u64,
-    computed: u64,
-}
-
-struct EvSim<'a, P: Probe> {
-    platform: &'a Platform,
-    schedule: &'a EventDrivenSchedule,
-    cfg: &'a SimConfig,
-    queue: EventQueue<Ev>,
-    nodes: Vec<NodeState>,
-    buffers: BufferTracker,
-    probe: P,
-    completions: Vec<(Rat, NodeId)>,
-    latencies: Vec<Rat>,
-    injected: u64,
-    last_release: Option<Rat>,
-    release_step: Rat,
-    /// χ thresholds for the prefill policy (0 = enabled from the start).
-    prefill_threshold: Vec<u64>,
-}
-
-impl<P: Probe> EvSim<'_, P> {
-    fn actions(&self, node: NodeId) -> Result<&[SlotAction], SimError> {
-        Ok(&self.schedule.local(node).ok_or(SimError::NoSchedule(node))?.actions)
+impl<'a> Stride<'a> {
+    /// Starts every cursor at the head of its bunch.
+    ///
+    /// # Errors
+    /// [`SimError::InactiveRoot`] on a zero-throughput schedule; a
+    /// [`SimError`] if the schedule was built for another platform.
+    pub fn new(
+        platform: &Platform,
+        schedule: Cow<'a, EventDrivenSchedule>,
+    ) -> Result<Self, SimError> {
+        let root = schedule.tree.get(platform.root()).ok_or(SimError::InactiveRoot)?;
+        let release_step = Rat::from_int(root.t_omega) / Rat::from_int(root.bunch);
+        fits(platform, &schedule.tree)?;
+        Ok(Stride { cursor: vec![0; platform.len()], release_step, schedule })
     }
 
-    /// Routes one available task according to the local schedule.
-    fn assign(&mut self, node: NodeId, t: Rat, stamp: Rat) -> Result<(), SimError> {
+    /// The action for `node`'s next task and its slot in the bunch; `None`
+    /// if the schedule leaves `node` inactive.
+    pub fn next(&mut self, node: NodeId) -> Option<(TaskAction, u64)> {
+        let actions = &self.schedule.local(node)?.actions;
+        let slot = self.cursor[node.index()];
+        self.cursor[node.index()] = (slot + 1) % actions.len();
+        Some((actions[slot].into(), slot as u64))
+    }
+}
+
+/// The event-driven policy (also the core of [`crate::dynamic`]).
+pub(crate) struct EventDriven<'a> {
+    pub stride: Stride<'a>,
+    /// The prefill start-up's `χ` thresholds (0: CPU on from the start).
+    prefill: Vec<u64>,
+    /// Set once the schedule was swapped mid-run: a node the new schedule
+    /// prunes may still receive tasks the old one routed to it, and
+    /// computes them rather than strand them.
+    pub replanned: bool,
+}
+
+impl<'a> EventDriven<'a> {
+    pub fn new(
+        platform: &Platform,
+        schedule: Cow<'a, EventDrivenSchedule>,
+        startup: StartupPolicy,
+    ) -> Result<Self, SimError> {
+        let prefill = platform
+            .node_ids()
+            .map(|id| match startup {
+                StartupPolicy::EventDriven => 0,
+                StartupPolicy::Prefill => {
+                    schedule.tree.get(id).and_then(|s| s.chi_in).map_or(0, |chi| chi as u64)
+                }
+            })
+            .collect();
+        Ok(EventDriven { stride: Stride::new(platform, schedule)?, prefill, replanned: false })
+    }
+
+    /// A task is available at `node`: buffer it, open a prefilled CPU once
+    /// its stock is in, and route the task by the stride.
+    fn admit<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        node: NodeId,
+        t: Rat,
+        task: u64,
+    ) -> Result<(), SimError> {
         let i = node.index();
-        let cursor = self.nodes[i].cursor;
-        let actions = self.actions(node)?;
-        let action = actions[cursor];
-        let len = actions.len();
-        self.nodes[i].cursor = (cursor + 1) % len;
-        let routed = match action {
-            SlotAction::Compute => TaskAction::Compute,
-            SlotAction::Send(child) => TaskAction::Send(child),
-        };
-        self.probe.task_dispatch(node, t, routed, Some(cursor as u64));
-        match action {
-            SlotAction::Compute => {
-                self.nodes[i].pending_cpu.push_back(stamp);
-                self.try_cpu(node, t)?;
-            }
-            SlotAction::Send(child) => {
-                self.nodes[i].send_queue.push_back((child, stamp));
-                self.try_port(node, t)?;
-            }
+        k.stock(node, t, 1);
+        if k.nodes[i].received >= self.prefill[i] {
+            k.nodes[i].cpu_off = false;
         }
+        match self.stride.next(node) {
+            Some((action, slot)) => k.route(node, t, action, Some(slot), task)?,
+            None if self.replanned => {
+                k.probe.task_dispatch(node, t, TaskAction::Compute, None);
+                if k.platform.weight(node).time().is_some() {
+                    k.nodes[i].cpu_queue.push_back(task);
+                }
+            }
+            None => return Err(SimError::NoSchedule(node)),
+        }
+        // Opening the CPU may unblock earlier compute-committed tasks.
+        k.try_cpu(node, t)
+    }
+}
+
+impl Policy for EventDriven<'_> {
+    type Error = SimError;
+    const LATENCIES: bool = true;
+
+    fn start<P: Probe>(&mut self, k: &mut Kernel<'_, P>) -> Result<(), SimError> {
+        for (node, &chi) in k.nodes.iter_mut().zip(&self.prefill) {
+            node.cpu_off = chi > 0;
+        }
+        k.release_at(Rat::ZERO);
         Ok(())
     }
 
-    fn try_cpu(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
-        let i = node.index();
-        if self.nodes[i].cpu_busy
-            || self.nodes[i].pending_cpu.is_empty()
-            || !self.nodes[i].compute_enabled
-        {
-            return Ok(());
+    #[inline]
+    fn on_event<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        t: Rat,
+        ev: Ev,
+    ) -> Result<(), SimError> {
+        match ev {
+            Ev::Release => {
+                let root = k.root();
+                let task = k.inject(t);
+                self.admit(k, root, t, task)?;
+                k.release_at(t + self.stride.release_step);
+            }
+            Ev::Arrive(node, task) => {
+                k.probe.task_delivered(node, t);
+                k.nodes[node.index()].received += 1;
+                self.admit(k, node, t, task)?;
+            }
+            Ev::CpuEnd(node) => {
+                k.cpu_end(node, t, true);
+                k.try_cpu(node, t)?;
+            }
+            Ev::PortEnd(node) => {
+                k.nodes[node.index()].send_busy = false;
+                k.try_port(node, t)?;
+            }
+            _ => {}
         }
-        let w = self.platform.weight(node).time().ok_or(SimError::SwitchComputes(node))?;
-        let stamp = self.nodes[i].pending_cpu.pop_front().ok_or(SimError::EmptyQueue(node))?;
-        self.nodes[i].cpu_stamp = stamp;
-        self.nodes[i].cpu_busy = true;
-        self.buffers.add(node, t, -1);
-        self.probe.buffer(node, t, self.buffers.size(node));
-        self.probe.segment(node, SegmentKind::Compute, t, t + w);
-        self.queue.push(t + w, Ev::CpuEnd(node));
         Ok(())
-    }
-
-    fn try_port(&mut self, node: NodeId, t: Rat) -> Result<(), SimError> {
-        let i = node.index();
-        if self.nodes[i].port_busy {
-            return Ok(());
-        }
-        let Some((child, stamp)) = self.nodes[i].send_queue.pop_front() else { return Ok(()) };
-        let c = self.platform.link_time(child).ok_or(SimError::MissingLink(child))?;
-        self.nodes[i].port_busy = true;
-        self.buffers.add(node, t, -1);
-        self.probe.buffer(node, t, self.buffers.size(node));
-        self.probe.segment(node, SegmentKind::Send(child), t, t + c);
-        self.probe.segment(child, SegmentKind::Receive, t, t + c);
-        self.queue.push(t + c, Ev::PortEnd(node));
-        self.queue.push(t + c, Ev::Arrive(child, stamp));
-        Ok(())
-    }
-
-    fn on_arrive(&mut self, node: NodeId, t: Rat, stamp: Rat) -> Result<(), SimError> {
-        let i = node.index();
-        self.nodes[i].received += 1;
-        self.buffers.add(node, t, 1);
-        self.probe.buffer(node, t, self.buffers.size(node));
-        if !self.nodes[i].compute_enabled && self.nodes[i].received >= self.prefill_threshold[i] {
-            self.nodes[i].compute_enabled = true;
-        }
-        self.assign(node, t, stamp)?;
-        // Enabling the CPU may unblock earlier compute-assigned tasks.
-        self.try_cpu(node, t)
-    }
-
-    fn schedule_next_release(&mut self, t: Rat) {
-        if let Some(total) = self.cfg.total_tasks {
-            if self.injected >= total {
-                return;
-            }
-        }
-        if t >= self.cfg.injection_end() {
-            return;
-        }
-        self.queue.push(t, Ev::Release);
-    }
-
-    fn run(mut self) -> Result<SimReport, SimError> {
-        let root = self.platform.root();
-        self.schedule_next_release(Rat::ZERO);
-        while let Some((t, ev)) = self.queue.pop() {
-            if t > self.cfg.horizon {
-                break;
-            }
-            self.probe.queue_depth(t, self.queue.len());
-            match ev {
-                Ev::Release => {
-                    self.injected += 1;
-                    self.last_release = Some(t);
-                    self.probe.task_enter(root, t, false);
-                    self.on_arrive(root, t, t)?;
-                    self.schedule_next_release(t + self.release_step);
-                }
-                Ev::Arrive(node, stamp) => {
-                    self.probe.task_delivered(node, t);
-                    self.on_arrive(node, t, stamp)?;
-                }
-                Ev::CpuEnd(node) => {
-                    let i = node.index();
-                    self.nodes[i].cpu_busy = false;
-                    self.nodes[i].computed += 1;
-                    self.completions.push((t, node));
-                    self.latencies.push(t - self.nodes[i].cpu_stamp);
-                    self.try_cpu(node, t)?;
-                }
-                Ev::PortEnd(node) => {
-                    self.nodes[node.index()].port_busy = false;
-                    self.try_port(node, t)?;
-                }
-            }
-        }
-        let exhausted = self.cfg.total_tasks.is_some_and(|total| self.injected >= total);
-        let injection_stopped_at = if exhausted {
-            self.last_release
-        } else {
-            self.cfg.stop_injection_at.filter(|&s| s <= self.cfg.horizon)
-        };
-        // Sort completions and latencies together by (time, node).
-        let mut joined: Vec<((Rat, NodeId), Rat)> =
-            self.completions.into_iter().zip(self.latencies).collect();
-        joined.sort_by(|a, b| a.0 .0.cmp(&b.0 .0).then(a.0 .1.cmp(&b.0 .1)));
-        let (completions, latencies): (Vec<_>, Vec<_>) = joined.into_iter().unzip();
-        Ok(SimReport {
-            horizon: self.cfg.horizon,
-            injection_stopped_at,
-            completions,
-            latencies: Some(latencies),
-            computed: self.nodes.iter().map(|n| n.computed).collect(),
-            received: self.nodes.iter().map(|n| n.received).collect(),
-            buffers: self.buffers.finalize(self.cfg.horizon),
-            gantt: None,
-        })
     }
 }
 
@@ -258,10 +199,7 @@ pub fn simulate_with_policy(
     cfg: &SimConfig,
     policy: StartupPolicy,
 ) -> Result<SimReport, SimError> {
-    let mut probe = GanttProbe::new(cfg.record_gantt);
-    let mut rep = simulate_with_policy_probed(platform, schedule, cfg, policy, &mut probe)?;
-    rep.gantt = probe.into_gantt();
-    Ok(rep)
+    with_gantt(cfg, |probe| simulate_with_policy_probed(platform, schedule, cfg, policy, probe))
 }
 
 /// Simulates with the paper's start-up policy, driving a custom [`Probe`].
@@ -269,6 +207,8 @@ pub fn simulate_with_policy(
 ///
 /// # Errors
 /// [`SimError`] if the schedule and platform disagree mid-run.
+///
+/// [`GanttProbe`]: crate::GanttProbe
 pub fn simulate_probed(
     platform: &Platform,
     schedule: &EventDrivenSchedule,
@@ -289,48 +229,8 @@ pub fn simulate_with_policy_probed(
     policy: StartupPolicy,
     probe: &mut impl Probe,
 ) -> Result<SimReport, SimError> {
-    let root = platform.root();
-    let root_sched = schedule.tree.get(root).ok_or(SimError::InactiveRoot)?;
-    let release_step = Rat::from_int(root_sched.t_omega) / Rat::from_int(root_sched.bunch);
-    let n = platform.len();
-    let prefill_threshold: Vec<u64> = platform
-        .node_ids()
-        .map(|id| match policy {
-            StartupPolicy::EventDriven => 0,
-            StartupPolicy::Prefill => {
-                schedule.tree.get(id).and_then(|s| s.chi_in).map_or(0, |chi| chi as u64)
-            }
-        })
-        .collect();
-    let nodes = (0..n)
-        .map(|i| NodeState {
-            cursor: 0,
-            pending_cpu: VecDeque::new(),
-            send_queue: VecDeque::new(),
-            cpu_busy: false,
-            cpu_stamp: Rat::ZERO,
-            port_busy: false,
-            compute_enabled: prefill_threshold[i] == 0,
-            received: 0,
-            computed: 0,
-        })
-        .collect();
-    EvSim {
-        platform,
-        schedule,
-        cfg,
-        queue: EventQueue::with_scale(cfg.queue_scale(tick_scale_hint(platform, &[release_step]))),
-        nodes,
-        buffers: BufferTracker::new(n),
-        probe,
-        completions: Vec::new(),
-        latencies: Vec::new(),
-        injected: 0,
-        last_release: None,
-        release_step,
-        prefill_threshold,
-    }
-    .run()
+    let mut ev = EventDriven::new(platform, Cow::Borrowed(schedule), policy)?;
+    Kernel::new(platform, cfg, &[ev.stride.release_step], probe).run(&mut ev)
 }
 
 #[cfg(test)]

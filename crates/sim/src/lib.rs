@@ -13,6 +13,10 @@
 //!   (`c` time units per task toward a given child);
 //! * one **receiving port** — at most one incoming transfer at a time.
 //!
+//! One kernel (`kernel.rs`) owns those resources, the FIFO buffers, the
+//! single event loop and the report; each executor below is a small policy
+//! on top of it that only decides what it does differently.
+//!
 //! Executors:
 //!
 //! * [`event_driven`] — the paper's schedule: every node except the root
@@ -27,7 +31,8 @@
 //!   (non-interruptible communications, threshold requests), the baseline
 //!   the paper's Sections 2 and 7 criticize.
 //! * [`result_return`] — the Section 9 model where computed tasks return a
-//!   result to the master, demonstrating that folding return times into the
+//!   result to the master over the child's sending port and the master's
+//!   receiving port, demonstrating that folding return times into the
 //!   forward communication cost is wrong under single-port reception.
 //! * [`dynamic`] — link degradations mid-run with stale vs re-negotiated
 //!   schedules (the conclusion's platform-dynamics motivation).
@@ -35,18 +40,23 @@
 //!   against the `N/ρ*` steady-state lower bound (the Section 2 heuristic
 //!   claim for Dutot's NP-hard makespan problem).
 //! * [`returns`] — result returns on *arbitrary* trees (bidirectional port
-//!   contention), quantifying the problem Section 9 leaves open.
+//!   contention: results relay upward over each child's sending port and
+//!   its parent's receiving port), quantifying the problem Section 9 leaves
+//!   open.
 //!
 //! Measurements ([`SimReport`]): per-node Gantt traces (Figure 5),
 //! completion series, throughput over windows, steady-state entry times,
 //! buffer occupancy, and wind-down lengths.
 //!
-//! Instrumentation: the `event_driven`, `clocked`, `demand_driven` and
-//! `dynamic` executors each expose a `simulate_probed` variant generic over
-//! a [`Probe`] — busy segments, event-queue depths and buffer occupancy
-//! stream to any sink ([`GanttProbe`], [`UtilizationProbe`], [`ObsProbe`]
-//! into a `bwfirst-obs` recorder, or the online [`MonitorProbe`] invariant
-//! checker) with zero cost when [`NoProbe`] is plugged in.
+//! Instrumentation: all six executors take a [`Probe`] through their
+//! `*_probed` entry points (the kernel makes the probe calls, so every
+//! executor emits the same observations) — busy segments, event-queue
+//! depths, buffer occupancy and task lifecycles stream to any sink
+//! ([`GanttProbe`], [`UtilizationProbe`], [`ObsProbe`] into a `bwfirst-obs`
+//! recorder, the online [`MonitorProbe`] invariant checker, or the
+//! [`ProvenanceProbe`]) with zero cost when [`NoProbe`] is plugged in. The
+//! plain `simulate*` entry points attach a [`GanttProbe`] when
+//! [`SimConfig::record_gantt`] is set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,6 +69,7 @@ pub mod error;
 pub mod event_driven;
 pub mod gantt;
 pub mod gantt_svg;
+mod kernel;
 pub mod makespan;
 pub mod monitor;
 pub mod probe;

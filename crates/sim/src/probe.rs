@@ -16,6 +16,7 @@
 //! * tuples — `(A, B)` drives two probes at once.
 
 use crate::gantt::{Gantt, SegmentKind};
+use bwfirst_core::schedule::SlotAction;
 use bwfirst_obs::{Arg, Event, EventKind, Recorder, Ts};
 use bwfirst_platform::NodeId;
 use bwfirst_rational::Rat;
@@ -56,6 +57,15 @@ pub enum TaskAction {
     Compute,
     /// The task is forwarded to this child.
     Send(NodeId),
+}
+
+impl From<SlotAction> for TaskAction {
+    fn from(action: SlotAction) -> TaskAction {
+        match action {
+            SlotAction::Compute => TaskAction::Compute,
+            SlotAction::Send(child) => TaskAction::Send(child),
+        }
+    }
 }
 
 /// A sink for executor observations. All methods default to no-ops, so a

@@ -18,211 +18,130 @@
 //! to zero recovers the forward-only model, which is how
 //! [`simulate_merged`] evaluates the (erroneous) merged-cost platform.
 
-use crate::engine::{BufferTracker, EventQueue, SimConfig, SimReport};
-use crate::gantt::{Gantt, SegmentKind};
+use crate::engine::{SimConfig, SimReport};
+use crate::error::SimError;
+use crate::kernel::{with_gantt, Ev, Kernel, Policy};
+use crate::probe::{Probe, TaskAction};
 use bwfirst_platform::examples::ResultReturnPlatform;
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// Forward transfer to the child completed.
-    Arrive(NodeId),
-    /// A child finished computing one task.
-    CpuEnd(NodeId),
-    /// The master's sending port freed up.
-    MasterSendEnd,
-    /// A return transfer from the child completed (frees the child's send
-    /// port and the master's receive port).
-    ReturnEnd(NodeId),
-}
+/// Per-child cap on buffered + in-flight + computing tasks (keeps greedy
+/// feeding from flooding slow children).
+const CAP: u64 = 2;
 
-struct ChildState {
-    buffer: u64,
-    inflight: u64,
-    results_ready: u64,
-    cpu_busy: bool,
-    send_busy: bool,
-    received: u64,
-    computed: u64,
-}
-
-struct RrSim<'a> {
-    platform: &'a Platform,
+/// Greedy round-robin feeding of the leaves, results back over the master's
+/// receiving port.
+struct ResultReturn<'a> {
     return_time: &'a [Rat],
-    cfg: &'a SimConfig,
-    /// Per-child cap on buffered + in-flight tasks (keeps greedy feeding
-    /// from flooding slow children).
-    cap: u64,
-    queue: EventQueue<Ev>,
     children: Vec<NodeId>,
-    states: Vec<ChildState>,
-    master_send_busy: bool,
-    master_recv_busy: bool,
-    buffers: BufferTracker,
-    gantt: Option<Gantt>,
-    completions: Vec<(Rat, NodeId)>,
-    injected: u64,
-    last_injection: Option<Rat>,
-    rr_index: usize,
+    /// Tasks in flight toward each node.
+    inflight: Vec<u64>,
+    /// Computed results waiting at each node.
+    ready: Vec<u64>,
+    /// Round-robin position among `children`.
+    next: usize,
 }
 
-impl RrSim<'_> {
-    fn slot(&self, child: NodeId) -> usize {
-        self.children.iter().position(|&k| k == child).expect("child slot")
-    }
-
-    fn supply(&self, t: Rat) -> bool {
-        t < self.cfg.injection_end() && self.cfg.total_tasks.is_none_or(|n| self.injected < n)
-    }
-
+impl ResultReturn<'_> {
     /// Greedy master sending: next eligible child round-robin.
-    fn try_master_send(&mut self, t: Rat) {
-        if self.master_send_busy || !self.supply(t) {
-            return;
+    fn try_master_send<P: Probe>(&mut self, k: &mut Kernel<'_, P>, t: Rat) -> Result<(), SimError> {
+        let root = k.root();
+        if k.nodes[root.index()].send_busy || !k.supply(t) {
+            return Ok(());
         }
-        let k = self.children.len();
-        for off in 0..k {
-            let idx = (self.rr_index + off) % k;
-            let st = &self.states[idx];
-            if st.buffer + st.inflight + u64::from(st.cpu_busy) < self.cap {
-                let child = self.children[idx];
-                self.rr_index = (idx + 1) % k;
-                self.injected += 1;
-                self.last_injection = Some(t);
-                self.master_send_busy = true;
-                self.states[idx].inflight += 1;
-                let c = self.platform.link_time(child).expect("child link");
-                if let Some(g) = &mut self.gantt {
-                    g.push(self.platform.root(), SegmentKind::Send(child), t, t + c);
-                    g.push(child, SegmentKind::Receive, t, t + c);
-                }
-                self.queue.push(t + c, Ev::MasterSendEnd);
-                self.queue.push(t + c, Ev::Arrive(child));
-                return;
+        let n = self.children.len();
+        for off in 0..n {
+            let idx = (self.next + off) % n;
+            let child = self.children[idx];
+            let i = child.index();
+            if k.buffers.size(child) + self.inflight[i] + u64::from(k.nodes[i].cpu_busy) < CAP {
+                self.next = (idx + 1) % n;
+                let task = k.inject(t);
+                self.inflight[i] += 1;
+                k.probe.task_dispatch(root, t, TaskAction::Send(child), None);
+                let c = k.link(child)?;
+                k.start_hop(root, child, t, c, task);
+                return Ok(());
             }
         }
-    }
-
-    fn try_cpu(&mut self, child: NodeId, t: Rat) {
-        let idx = self.slot(child);
-        let st = &mut self.states[idx];
-        if st.cpu_busy || st.buffer == 0 {
-            return;
-        }
-        let w = self.platform.weight(child).time().expect("workers compute");
-        st.buffer -= 1;
-        st.cpu_busy = true;
-        self.buffers.add(child, t, -1);
-        if let Some(g) = &mut self.gantt {
-            g.push(child, SegmentKind::Compute, t, t + w);
-        }
-        self.queue.push(t + w, Ev::CpuEnd(child));
+        Ok(())
     }
 
     /// Starts a return transfer if both ports are free; zero return time
     /// completes instantly (the merged model).
-    fn try_return(&mut self, child: NodeId, t: Rat) {
-        let idx = self.slot(child);
-        let r = self.return_time[child.index()];
-        if self.states[idx].results_ready == 0 {
+    fn try_return<P: Probe>(&mut self, k: &mut Kernel<'_, P>, child: NodeId, t: Rat) {
+        let (i, root) = (child.index(), k.root());
+        let r = self.return_time[i];
+        if self.ready[i] == 0 {
             return;
         }
         if r.is_zero() {
-            self.states[idx].results_ready -= 1;
-            self.completions.push((t, child));
+            self.ready[i] -= 1;
+            k.complete(child, t);
             return;
         }
-        if self.states[idx].send_busy || self.master_recv_busy {
+        if k.nodes[i].send_busy || k.nodes[root.index()].recv_busy {
             return;
         }
-        self.states[idx].results_ready -= 1;
-        self.states[idx].send_busy = true;
-        self.master_recv_busy = true;
-        if let Some(g) = &mut self.gantt {
-            g.push(child, SegmentKind::Send(self.platform.root()), t, t + r);
-            g.push(self.platform.root(), SegmentKind::Receive, t, t + r);
-        }
-        self.queue.push(t + r, Ev::ReturnEnd(child));
+        self.ready[i] -= 1;
+        k.start_transfer(child, root, t, r, Ev::Return { from: child, to: root });
+    }
+}
+
+impl Policy for ResultReturn<'_> {
+    type Error = SimError;
+
+    fn start<P: Probe>(&mut self, k: &mut Kernel<'_, P>) -> Result<(), SimError> {
+        self.try_master_send(k, Rat::ZERO)
     }
 
-    /// When the master's receive port frees, grant it to any child with a
-    /// ready result (smallest index first).
-    fn try_any_return(&mut self, t: Rat) {
-        for idx in 0..self.children.len() {
-            if self.states[idx].results_ready > 0 && !self.states[idx].send_busy {
-                self.try_return(self.children[idx], t);
-                if self.master_recv_busy {
-                    return;
+    #[inline]
+    fn on_event<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        t: Rat,
+        ev: Ev,
+    ) -> Result<(), SimError> {
+        match ev {
+            Ev::PortEnd(node) => {
+                k.nodes[node.index()].send_busy = false;
+                self.try_master_send(k, t)?;
+            }
+            Ev::Arrive(child, task) => {
+                self.inflight[child.index()] -= 1;
+                k.probe.task_delivered(child, t);
+                k.receive(child, t);
+                k.route(child, t, TaskAction::Compute, None, task)?;
+                self.try_master_send(k, t)?;
+            }
+            Ev::CpuEnd(child) => {
+                k.cpu_end(child, t, false);
+                self.ready[child.index()] += 1;
+                self.try_return(k, child, t);
+                k.try_cpu(child, t)?;
+                self.try_master_send(k, t)?;
+            }
+            Ev::Return { from, to } => {
+                k.nodes[from.index()].send_busy = false;
+                k.nodes[to.index()].recv_busy = false;
+                k.complete(from, t);
+                self.try_return(k, from, t);
+                // The master's receiving port is free again: grant it to
+                // any child with a ready result (smallest index first).
+                for idx in 0..self.children.len() {
+                    let child = self.children[idx];
+                    if self.ready[child.index()] > 0 && !k.nodes[child.index()].send_busy {
+                        self.try_return(k, child, t);
+                        if k.nodes[to.index()].recv_busy {
+                            break;
+                        }
+                    }
                 }
             }
+            _ => {}
         }
-    }
-
-    fn run(mut self) -> SimReport {
-        self.try_master_send(Rat::ZERO);
-        while let Some((t, ev)) = self.queue.pop() {
-            if t > self.cfg.horizon {
-                break;
-            }
-            match ev {
-                Ev::MasterSendEnd => {
-                    self.master_send_busy = false;
-                    self.try_master_send(t);
-                }
-                Ev::Arrive(child) => {
-                    let idx = self.slot(child);
-                    self.states[idx].inflight -= 1;
-                    self.states[idx].buffer += 1;
-                    self.states[idx].received += 1;
-                    self.buffers.add(child, t, 1);
-                    self.try_cpu(child, t);
-                    self.try_master_send(t);
-                }
-                Ev::CpuEnd(child) => {
-                    let idx = self.slot(child);
-                    self.states[idx].cpu_busy = false;
-                    self.states[idx].computed += 1;
-                    self.states[idx].results_ready += 1;
-                    self.try_return(child, t);
-                    self.try_cpu(child, t);
-                    self.try_master_send(t);
-                }
-                Ev::ReturnEnd(child) => {
-                    let idx = self.slot(child);
-                    self.states[idx].send_busy = false;
-                    self.master_recv_busy = false;
-                    self.completions.push((t, child));
-                    self.try_return(child, t);
-                    self.try_any_return(t);
-                }
-            }
-        }
-        let n = self.platform.len();
-        let mut computed = vec![0u64; n];
-        let mut received = vec![0u64; n];
-        received[self.platform.root().index()] = self.injected;
-        for (idx, st) in self.states.iter().enumerate() {
-            computed[self.children[idx].index()] = st.computed;
-            received[self.children[idx].index()] = st.received;
-        }
-        let exhausted = self.cfg.total_tasks.is_some_and(|total| self.injected >= total);
-        let injection_stopped_at = if exhausted {
-            self.last_injection
-        } else {
-            self.cfg.stop_injection_at.filter(|&s| s <= self.cfg.horizon)
-        };
-        self.completions.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        SimReport {
-            horizon: self.cfg.horizon,
-            injection_stopped_at,
-            completions: self.completions,
-            latencies: None,
-            computed,
-            received,
-            buffers: self.buffers.finalize(self.cfg.horizon),
-            gantt: self.gantt,
-        }
+        Ok(())
     }
 }
 
@@ -230,57 +149,53 @@ impl RrSim<'_> {
 /// children's sending ports and the master's receiving port. Completions are
 /// counted when results reach the master.
 ///
-/// Panics unless the platform is a fork (height 1) — the shape Section 9
-/// analyzes.
-#[must_use]
-pub fn simulate(rr: &ResultReturnPlatform, cfg: &SimConfig) -> SimReport {
-    simulate_raw(&rr.platform, &rr.return_time, cfg)
+/// # Errors
+/// [`SimError::BadInput`] unless the platform is a fork (height 1) — the
+/// shape Section 9 analyzes — with one return time per node.
+pub fn simulate(rr: &ResultReturnPlatform, cfg: &SimConfig) -> Result<SimReport, SimError> {
+    with_gantt(cfg, |probe| simulate_probed(&rr.platform, &rr.return_time, cfg, probe))
 }
 
 /// Simulates the *merged* variant: forward costs inflated by the return
 /// times, no separate return traffic — the simplification the paper refutes.
-#[must_use]
-pub fn simulate_merged(rr: &ResultReturnPlatform, cfg: &SimConfig) -> SimReport {
+///
+/// # Errors
+/// As [`simulate`].
+pub fn simulate_merged(rr: &ResultReturnPlatform, cfg: &SimConfig) -> Result<SimReport, SimError> {
     let merged = rr.merged();
     let zeros = vec![Rat::ZERO; merged.len()];
-    simulate_raw(&merged, &zeros, cfg)
+    with_gantt(cfg, |probe| simulate_probed(&merged, &zeros, cfg, probe))
 }
 
-fn simulate_raw(platform: &Platform, return_time: &[Rat], cfg: &SimConfig) -> SimReport {
-    assert_eq!(platform.height(), 1, "result-return simulation expects a fork platform");
-    assert_eq!(return_time.len(), platform.len());
-    let children: Vec<NodeId> = platform.children(platform.root()).to_vec();
-    assert!(!children.is_empty(), "fork needs at least one worker");
-    let states = children
-        .iter()
-        .map(|_| ChildState {
-            buffer: 0,
-            inflight: 0,
-            results_ready: 0,
-            cpu_busy: false,
-            send_busy: false,
-            received: 0,
-            computed: 0,
-        })
-        .collect();
-    RrSim {
-        platform,
-        return_time,
-        cfg,
-        cap: 2,
-        queue: EventQueue::new(),
-        children,
-        states,
-        master_send_busy: false,
-        master_recv_busy: false,
-        buffers: BufferTracker::new(platform.len()),
-        gantt: cfg.record_gantt.then(Gantt::default),
-        completions: Vec::new(),
-        injected: 0,
-        last_injection: None,
-        rr_index: 0,
+/// Simulates `platform` with per-node result-return times `return_time`,
+/// driving a custom [`Probe`]. The report's `gantt` is `None`; plug in a
+/// [`GanttProbe`] to collect one.
+///
+/// # Errors
+/// As [`simulate`].
+///
+/// [`GanttProbe`]: crate::GanttProbe
+pub fn simulate_probed(
+    platform: &Platform,
+    return_time: &[Rat],
+    cfg: &SimConfig,
+    probe: &mut impl Probe,
+) -> Result<SimReport, SimError> {
+    if platform.height() != 1 {
+        return Err(SimError::BadInput("result-return simulation expects a fork platform"));
     }
-    .run()
+    if return_time.len() != platform.len() {
+        return Err(SimError::BadInput("result-return simulation needs one return time per node"));
+    }
+    let n = platform.len();
+    let mut policy = ResultReturn {
+        return_time,
+        children: platform.children(platform.root()).to_vec(),
+        inflight: vec![0; n],
+        ready: vec![0; n],
+        next: 0,
+    };
+    Kernel::new(platform, cfg, return_time, probe).run(&mut policy)
 }
 
 #[cfg(test)]
@@ -292,7 +207,7 @@ mod tests {
     #[test]
     fn separated_model_sustains_two_tasks_per_unit() {
         let rr = section9_counterexample();
-        let rep = simulate(&rr, &SimConfig::to_horizon(rat(200, 1)));
+        let rep = simulate(&rr, &SimConfig::to_horizon(rat(200, 1))).unwrap();
         let rate = rep.throughput_in(rat(100, 1), rat(200, 1));
         assert!(rate >= rat(19, 10), "separated model too slow: {rate}");
         assert!(rate <= rat(2, 1));
@@ -301,7 +216,7 @@ mod tests {
     #[test]
     fn merged_model_halves_throughput() {
         let rr = section9_counterexample();
-        let rep = simulate_merged(&rr, &SimConfig::to_horizon(rat(200, 1)));
+        let rep = simulate_merged(&rr, &SimConfig::to_horizon(rat(200, 1))).unwrap();
         let rate = rep.throughput_in(rat(100, 1), rat(200, 1));
         assert!(rate <= rat(1, 1), "merged model too fast: {rate}");
         assert!(rate >= rat(9, 10), "merged model unexpectedly slow: {rate}");
@@ -310,7 +225,7 @@ mod tests {
     #[test]
     fn ports_never_double_booked() {
         let rr = section9_counterexample();
-        let rep = simulate(&rr, &SimConfig::to_horizon(rat(50, 1)));
+        let rep = simulate(&rr, &SimConfig::to_horizon(rat(50, 1))).unwrap();
         assert!(rep.gantt.as_ref().unwrap().find_overlap().is_none());
     }
 
@@ -325,13 +240,12 @@ mod tests {
             exact_queue: false,
             seed: 0,
         };
-        let rep = simulate(&rr, &cfg);
+        let rep = simulate(&rr, &cfg).unwrap();
         assert_eq!(rep.completions.len(), 40);
         assert_eq!(rep.total_computed(), 40);
     }
 
     #[test]
-    #[should_panic(expected = "fork platform")]
     fn rejects_deep_trees() {
         use bwfirst_platform::{PlatformBuilder, Weight};
         let mut b = PlatformBuilder::new();
@@ -340,6 +254,7 @@ mod tests {
         b.child(mid, Weight::Time(rat(1, 1)), rat(1, 2));
         let p = b.build().unwrap();
         let rr = ResultReturnPlatform { platform: p, return_time: vec![Rat::ZERO; 3] };
-        let _ = simulate(&rr, &SimConfig::to_horizon(rat(10, 1)));
+        let err = simulate(&rr, &SimConfig::to_horizon(rat(10, 1))).unwrap_err();
+        assert!(matches!(err, SimError::BadInput(why) if why.contains("fork platform")), "{err}");
     }
 }

@@ -24,12 +24,15 @@
 //! returns. None of this contention exists in the forward-only model — the
 //! measured throughput gap *is* the open problem, quantified (E19).
 
-use crate::engine::{BufferTracker, EventQueue, SimConfig, SimReport};
-use crate::gantt::{Gantt, SegmentKind};
-use bwfirst_core::schedule::{EventDrivenSchedule, SlotAction};
+use crate::engine::{SimConfig, SimReport};
+use crate::error::SimError;
+use crate::event_driven::Stride;
+use crate::kernel::{with_gantt, Ev, Kernel, Policy};
+use crate::probe::{Probe, TaskAction};
+use bwfirst_core::schedule::EventDrivenSchedule;
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
-use std::collections::VecDeque;
+use std::borrow::Cow;
 
 /// Configuration of the return traffic.
 #[derive(Debug, Clone, Copy)]
@@ -40,83 +43,27 @@ pub struct ReturnConfig {
     pub return_ratio: Rat,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    Release,
-    CpuEnd(NodeId),
-    /// Downward transfer finished: frees parent send + child recv, delivers.
-    DownEnd {
-        parent: NodeId,
-        child: NodeId,
-    },
-    /// Upward result transfer finished: frees child send + parent recv.
-    UpEnd {
-        child: NodeId,
-        parent: NodeId,
-    },
-}
-
-struct NodeState {
-    cursor: usize,
-    pending_cpu: u64,
-    send_queue: VecDeque<NodeId>,
-    results: u64,
-    cpu_busy: bool,
-    send_free: bool,
-    recv_free: bool,
-    received: u64,
-    computed: u64,
-}
-
-struct RetSim<'a> {
-    platform: &'a Platform,
-    schedule: &'a EventDrivenSchedule,
-    cfg: &'a SimConfig,
+/// Stride routing downward, result relays upward.
+struct Returns<'a> {
+    stride: Stride<'a>,
     ratio: Rat,
-    queue: EventQueue<Ev>,
-    nodes: Vec<NodeState>,
-    buffers: BufferTracker,
-    gantt: Option<Gantt>,
-    completions: Vec<(Rat, NodeId)>,
-    injected: u64,
-    last_release: Option<Rat>,
-    release_step: Rat,
+    /// Results waiting at each node for its sending port.
+    results: Vec<u64>,
 }
 
-impl RetSim<'_> {
-    fn assign(&mut self, node: NodeId, t: Rat) {
-        let Some(local) = self.schedule.local(node) else {
-            panic!("task routed to inactive node {node}");
-        };
-        let i = node.index();
-        let len = local.actions.len();
-        let action = local.actions[self.nodes[i].cursor % len];
-        self.nodes[i].cursor = (self.nodes[i].cursor + 1) % len;
+impl Returns<'_> {
+    fn assign<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        node: NodeId,
+        t: Rat,
+    ) -> Result<(), SimError> {
+        let (action, slot) = self.stride.next(node).ok_or(SimError::NoSchedule(node))?;
+        k.commit(node, t, action, Some(slot), 0);
         match action {
-            SlotAction::Compute => {
-                self.nodes[i].pending_cpu += 1;
-                self.try_cpu(node, t);
-            }
-            SlotAction::Send(child) => {
-                self.nodes[i].send_queue.push_back(child);
-                self.try_send(node, t);
-            }
+            TaskAction::Compute => k.try_cpu(node, t),
+            TaskAction::Send(_) => self.try_send(k, node, t),
         }
-    }
-
-    fn try_cpu(&mut self, node: NodeId, t: Rat) {
-        let i = node.index();
-        if self.nodes[i].cpu_busy || self.nodes[i].pending_cpu == 0 {
-            return;
-        }
-        let w = self.platform.weight(node).time().expect("compute actions need CPUs");
-        self.nodes[i].pending_cpu -= 1;
-        self.nodes[i].cpu_busy = true;
-        self.buffers.add(node, t, -1);
-        if let Some(g) = &mut self.gantt {
-            g.push(node, SegmentKind::Compute, t, t + w);
-        }
-        self.queue.push(t + w, Ev::CpuEnd(node));
     }
 
     /// Attempts to use the node's sending port. **Results go first**: on a
@@ -125,185 +72,163 @@ impl RetSim<'_> {
     /// and results would pile up without bound. Returning first keeps the
     /// pipeline draining; the measured throughput loss relative to the
     /// forward-only prediction quantifies Section 9's open problem.
-    fn try_send(&mut self, node: NodeId, t: Rat) {
+    fn try_send<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        node: NodeId,
+        t: Rat,
+    ) -> Result<(), SimError> {
         let i = node.index();
-        if !self.nodes[i].send_free {
-            return;
+        if k.nodes[i].send_busy {
+            return Ok(());
         }
         // Return a result if the parent can receive it.
-        if self.nodes[i].results > 0 {
-            if let Some(parent) = self.platform.parent(node) {
-                if self.nodes[parent.index()].recv_free {
-                    self.nodes[i].results -= 1;
-                    self.nodes[i].send_free = false;
-                    self.nodes[parent.index()].recv_free = false;
-                    let c = self.platform.link_time(node).expect("own link") * self.ratio;
-                    if let Some(g) = &mut self.gantt {
-                        g.push(node, SegmentKind::Send(parent), t, t + c);
-                        g.push(parent, SegmentKind::Receive, t, t + c);
-                    }
-                    self.queue.push(t + c, Ev::UpEnd { child: node, parent });
-                    return;
-                }
+        if let Some(parent) = k.platform.parent(node).filter(|_| self.results[i] > 0) {
+            if !k.nodes[parent.index()].recv_busy {
+                self.results[i] -= 1;
+                let c = k.link(node)? * self.ratio;
+                k.start_transfer(node, parent, t, c, Ev::Return { from: node, to: parent });
+                return Ok(());
             }
         }
         // Otherwise forward the head-of-line task.
-        if let Some(&child) = self.nodes[i].send_queue.front() {
-            if self.nodes[child.index()].recv_free {
-                self.nodes[i].send_queue.pop_front();
-                self.nodes[i].send_free = false;
-                self.nodes[child.index()].recv_free = false;
-                self.buffers.add(node, t, -1);
-                let c = self.platform.link_time(child).expect("child link");
-                if let Some(g) = &mut self.gantt {
-                    g.push(node, SegmentKind::Send(child), t, t + c);
-                    g.push(child, SegmentKind::Receive, t, t + c);
-                }
-                self.queue.push(t + c, Ev::DownEnd { parent: node, child });
+        if let Some(&(child, _)) = k.nodes[i].send_queue.front() {
+            if !k.nodes[child.index()].recv_busy {
+                k.nodes[i].send_queue.pop_front();
+                k.stock(node, t, -1);
+                let c = k.link(child)?;
+                k.start_transfer(node, child, t, c, Ev::Hop { from: node, to: child });
             }
         }
+        Ok(())
     }
 
     /// A result materialized at `node`: complete at the root, relay else.
-    fn result_at(&mut self, node: NodeId, t: Rat) {
-        if node == self.platform.root() || self.ratio.is_zero() {
-            self.completions.push((t, node));
+    fn result_at<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        node: NodeId,
+        t: Rat,
+    ) -> Result<(), SimError> {
+        if node == k.root() || self.ratio.is_zero() {
+            k.complete(node, t);
+            Ok(())
         } else {
-            self.nodes[node.index()].results += 1;
-            self.try_send(node, t);
+            self.results[node.index()] += 1;
+            self.try_send(k, node, t)
         }
     }
 
     /// Ports around `node` changed: give everyone affected a chance.
-    fn wake(&mut self, node: NodeId, t: Rat) {
-        self.try_send(node, t);
-        // The node's freed recv port may unblock its parent's task forwards
-        // or its children's result returns.
-        if self.nodes[node.index()].recv_free {
-            if let Some(parent) = self.platform.parent(node) {
-                self.try_send(parent, t);
+    fn wake<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        node: NodeId,
+        t: Rat,
+    ) -> Result<(), SimError> {
+        self.try_send(k, node, t)?;
+        // The node's freed receiving port may unblock its parent's task
+        // forwards or its children's result returns.
+        if !k.nodes[node.index()].recv_busy {
+            if let Some(parent) = k.platform.parent(node) {
+                self.try_send(k, parent, t)?;
             }
-            for &k in self.platform.children(node).to_vec().iter() {
-                self.try_send(k, t);
+            for j in 0..k.platform.children(node).len() {
+                let child = k.platform.children(node)[j];
+                self.try_send(k, child, t)?;
             }
         }
+        Ok(())
+    }
+}
+
+impl Policy for Returns<'_> {
+    type Error = SimError;
+
+    fn start<P: Probe>(&mut self, k: &mut Kernel<'_, P>) -> Result<(), SimError> {
+        k.release_at(Rat::ZERO);
+        Ok(())
     }
 
-    fn schedule_next_release(&mut self, t: Rat) {
-        if let Some(total) = self.cfg.total_tasks {
-            if self.injected >= total {
-                return;
+    #[inline]
+    fn on_event<P: Probe>(
+        &mut self,
+        k: &mut Kernel<'_, P>,
+        t: Rat,
+        ev: Ev,
+    ) -> Result<(), SimError> {
+        match ev {
+            Ev::Release => {
+                let root = k.root();
+                k.inject(t);
+                k.stock(root, t, 1);
+                self.assign(k, root, t)?;
+                k.release_at(t + self.stride.release_step);
             }
-        }
-        if t >= self.cfg.injection_end() {
-            return;
-        }
-        self.queue.push(t, Ev::Release);
-    }
-
-    fn run(mut self) -> SimReport {
-        let root = self.platform.root();
-        self.schedule_next_release(Rat::ZERO);
-        while let Some((t, ev)) = self.queue.pop() {
-            if t > self.cfg.horizon {
-                break;
+            Ev::CpuEnd(node) => {
+                k.cpu_end(node, t, false);
+                self.result_at(k, node, t)?;
+                k.try_cpu(node, t)?;
             }
-            match ev {
-                Ev::Release => {
-                    self.injected += 1;
-                    self.last_release = Some(t);
-                    self.nodes[root.index()].received += 1;
-                    self.buffers.add(root, t, 1);
-                    self.assign(root, t);
-                    let step = self.release_step;
-                    self.schedule_next_release(t + step);
-                }
-                Ev::CpuEnd(node) => {
-                    let i = node.index();
-                    self.nodes[i].cpu_busy = false;
-                    self.nodes[i].computed += 1;
-                    self.result_at(node, t);
-                    self.try_cpu(node, t);
-                }
-                Ev::DownEnd { parent, child } => {
-                    self.nodes[parent.index()].send_free = true;
-                    self.nodes[child.index()].recv_free = true;
-                    self.nodes[child.index()].received += 1;
-                    self.buffers.add(child, t, 1);
-                    self.assign(child, t);
-                    self.wake(parent, t);
-                    self.wake(child, t);
-                }
-                Ev::UpEnd { child, parent } => {
-                    self.nodes[child.index()].send_free = true;
-                    self.nodes[parent.index()].recv_free = true;
-                    self.result_at(parent, t);
-                    self.wake(child, t);
-                    self.wake(parent, t);
-                }
+            Ev::Hop { from, to } => {
+                k.nodes[from.index()].send_busy = false;
+                k.nodes[to.index()].recv_busy = false;
+                k.probe.task_delivered(to, t);
+                k.receive(to, t);
+                self.assign(k, to, t)?;
+                self.wake(k, from, t)?;
+                self.wake(k, to, t)?;
             }
+            Ev::Return { from, to } => {
+                k.nodes[from.index()].send_busy = false;
+                k.nodes[to.index()].recv_busy = false;
+                self.result_at(k, to, t)?;
+                self.wake(k, from, t)?;
+                self.wake(k, to, t)?;
+            }
+            _ => {}
         }
-        let exhausted = self.cfg.total_tasks.is_some_and(|n| self.injected >= n);
-        let injection_stopped_at = if exhausted {
-            self.last_release
-        } else {
-            self.cfg.stop_injection_at.filter(|&s| s <= self.cfg.horizon)
-        };
-        self.completions.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        SimReport {
-            horizon: self.cfg.horizon,
-            injection_stopped_at,
-            completions: self.completions,
-            latencies: None,
-            computed: self.nodes.iter().map(|n| n.computed).collect(),
-            received: self.nodes.iter().map(|n| n.received).collect(),
-            buffers: self.buffers.finalize(self.cfg.horizon),
-            gantt: self.gantt,
-        }
+        Ok(())
     }
 }
 
 /// Runs the forward-only event-driven `schedule` on a platform whose tasks
 /// *also* return results of relative size `ret.return_ratio`. Completions
 /// count when results reach the root (at compute end for ratio zero).
-#[must_use]
+///
+/// # Errors
+/// [`SimError::BadInput`] for a negative return ratio; other
+/// [`SimError`]s if the schedule does not fit the platform.
 pub fn simulate_with_returns(
     platform: &Platform,
     schedule: &EventDrivenSchedule,
     ret: ReturnConfig,
     cfg: &SimConfig,
-) -> SimReport {
-    assert!(!ret.return_ratio.is_negative(), "return ratio must be non-negative");
-    let root_sched = schedule.tree.get(platform.root()).expect("root active");
-    let release_step = Rat::from_int(root_sched.t_omega) / Rat::from_int(root_sched.bunch);
-    let n = platform.len();
-    RetSim {
-        platform,
-        schedule,
-        cfg,
-        ratio: ret.return_ratio,
-        queue: EventQueue::new(),
-        nodes: (0..n)
-            .map(|_| NodeState {
-                cursor: 0,
-                pending_cpu: 0,
-                send_queue: VecDeque::new(),
-                results: 0,
-                cpu_busy: false,
-                send_free: true,
-                recv_free: true,
-                received: 0,
-                computed: 0,
-            })
-            .collect(),
-        buffers: BufferTracker::new(n),
-        gantt: cfg.record_gantt.then(Gantt::default),
-        completions: Vec::new(),
-        injected: 0,
-        last_release: None,
-        release_step,
+) -> Result<SimReport, SimError> {
+    with_gantt(cfg, |probe| simulate_with_returns_probed(platform, schedule, ret, cfg, probe))
+}
+
+/// [`simulate_with_returns`], driving a custom [`Probe`]. The report's
+/// `gantt` is `None`; plug in a [`GanttProbe`] to collect one.
+///
+/// # Errors
+/// As [`simulate_with_returns`].
+///
+/// [`GanttProbe`]: crate::GanttProbe
+pub fn simulate_with_returns_probed(
+    platform: &Platform,
+    schedule: &EventDrivenSchedule,
+    ret: ReturnConfig,
+    cfg: &SimConfig,
+    probe: &mut impl Probe,
+) -> Result<SimReport, SimError> {
+    if ret.return_ratio.is_negative() {
+        return Err(SimError::BadInput("return ratio must be non-negative"));
     }
-    .run()
+    let stride = Stride::new(platform, Cow::Borrowed(schedule))?;
+    let extras = [stride.release_step, ret.return_ratio];
+    let mut policy = Returns { stride, ratio: ret.return_ratio, results: vec![0; platform.len()] };
+    Kernel::new(platform, cfg, &extras, probe).run(&mut policy)
 }
 
 #[cfg(test)]
@@ -330,7 +255,8 @@ mod tests {
             exact_queue: false,
             seed: 0,
         };
-        let rep = simulate_with_returns(&p, &ev, ReturnConfig { return_ratio: ratio }, &cfg);
+        let rep =
+            simulate_with_returns(&p, &ev, ReturnConfig { return_ratio: ratio }, &cfg).unwrap();
         // Period-aligned window (4 x 36) well past start-up.
         rep.throughput_in(rat(200, 1), rat(344, 1))
     }
@@ -357,7 +283,8 @@ mod tests {
     fn ports_never_double_booked_with_returns() {
         let (p, _, ev) = setup();
         let cfg = SimConfig::to_horizon(rat(120, 1));
-        let rep = simulate_with_returns(&p, &ev, ReturnConfig { return_ratio: rat(1, 2) }, &cfg);
+        let rep =
+            simulate_with_returns(&p, &ev, ReturnConfig { return_ratio: rat(1, 2) }, &cfg).unwrap();
         assert!(rep.gantt.as_ref().unwrap().find_overlap().is_none());
     }
 
@@ -372,7 +299,8 @@ mod tests {
             exact_queue: false,
             seed: 0,
         };
-        let rep = simulate_with_returns(&p, &ev, ReturnConfig { return_ratio: rat(1, 2) }, &cfg);
+        let rep =
+            simulate_with_returns(&p, &ev, ReturnConfig { return_ratio: rat(1, 2) }, &cfg).unwrap();
         // Every computed task's result eventually reached the root.
         assert_eq!(rep.total_computed(), 60);
         assert_eq!(rep.completions.len(), 60);

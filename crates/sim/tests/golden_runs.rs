@@ -167,10 +167,13 @@ fn dynamic_runs_are_pinned() {
 fn result_return_runs_are_pinned() {
     let rr = section9_counterexample();
     let c = cfg(40);
-    check("result-return.report.txt", &format!("{:#?}\n", result_return::simulate(&rr, &c)));
+    check(
+        "result-return.report.txt",
+        &format!("{:#?}\n", result_return::simulate(&rr, &c).unwrap()),
+    );
     check(
         "result-return-merged.report.txt",
-        &format!("{:#?}\n", result_return::simulate_merged(&rr, &c)),
+        &format!("{:#?}\n", result_return::simulate_merged(&rr, &c).unwrap()),
     );
 }
 
@@ -178,6 +181,6 @@ fn result_return_runs_are_pinned() {
 fn returns_run_is_pinned() {
     let (p, _, ev) = setup();
     let ret = ReturnConfig { return_ratio: rat(1, 2) };
-    let rep = simulate_with_returns(&p, &ev, ret, &cfg(TRACED));
+    let rep = simulate_with_returns(&p, &ev, ret, &cfg(TRACED)).unwrap();
     check("returns.report.txt", &format!("{rep:#?}\n"));
 }
