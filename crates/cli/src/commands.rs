@@ -1010,8 +1010,6 @@ mod tests {
 
     #[test]
     fn simulate_accepts_every_protocol() {
-        // `clocked` and `dynamic` used to be rejected here while `trace
-        // record` accepted them.
         for protocol in ["clocked", "dynamic"] {
             let out =
                 run(&["simulate", "example.json", "--horizon", "150", "--protocol", protocol])
