@@ -10,7 +10,8 @@
 //!    a `lint: allow(<rule>)` comment on the same or preceding line.
 //! 2. **Protocol model checker** ([`model`]) — enumerates every rooted
 //!    tree up to N nodes ([`trees`]) with lattice-valued rational weights,
-//!    drives the *shipped* `proto::NodeMachine` under every message
+//!    drives the *shipped* `bwfirst_core::NodeMachine` (the machine the
+//!    proto actors and `bw_first` run) under every message
 //!    interleaving, and asserts termination, deadlock freedom,
 //!    Proposition 2 (`2 × visited` messages), and agreement with the
 //!    centralized bottom-up reduction.

@@ -1,8 +1,10 @@
 //! Exhaustive model checking of the `BW-First` negotiation protocol.
 //!
-//! The checker drives the **same** [`NodeMachine`] state machine the live
-//! actors run (`crates/proto/src/machine.rs`) — not a re-implementation —
-//! so every property verified here is a property of the shipped code.
+//! The checker drives the **same** [`NodeMachine`] state machine
+//! (`crates/core/src/machine.rs`) that the live actors run and that
+//! `bw_first`, the lazy bounds and the `f64` evaluator run through core's
+//! driver — not a re-implementation — so every property verified here is a
+//! property of the shipped code.
 //!
 //! For every rooted tree up to `max_nodes` nodes (see [`crate::trees`]) the
 //! checker explores **all interleavings** of message deliveries by DFS over
@@ -23,14 +25,10 @@
 //!   same `θ_root` and the same per-node `α` vector.
 
 use crate::trees::{for_each_instance, Instance};
-use bwfirst_core::bottom_up;
+use bwfirst_core::{bottom_up, t_max, NodeMachine, Outgoing};
 use bwfirst_obs::json::{obj, Value};
 use bwfirst_obs::{Event, EventKind, FlightRecorder, Recorder, Ts};
 use bwfirst_parallel::Pool;
-use bwfirst_platform::Weight;
-use bwfirst_proto::machine::Outgoing;
-use bwfirst_proto::session::virtual_proposal;
-use bwfirst_proto::NodeMachine;
 use bwfirst_rational::Rat;
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -349,7 +347,7 @@ fn check_instance(inst: &Instance, states: &mut u64) -> Result<(), Box<Violation
                 .iter()
                 .map(|&k| (k.0, p.link_time(k).expect("non-root nodes have links")))
                 .collect();
-            NodeMachine::new(id.0, p.weight(id), children)
+            NodeMachine::new(id.0, p.compute_rate(id), children)
         })
         .collect();
     let topo = Topo {
@@ -357,13 +355,8 @@ fn check_instance(inst: &Instance, states: &mut u64) -> Result<(), Box<Violation
         children: p.node_ids().map(|id| p.children(id).iter().map(|k| k.0).collect()).collect(),
     };
 
-    let t_max = virtual_proposal(p).map_err(|e| {
-        Box::new(Violation {
-            instance: inst.describe(),
-            trace: Vec::new(),
-            message: format!("virtual proposal failed: {e}"),
-        })
-    })?;
+    let root_links = machines[p.root().index()].children().iter().map(|&(_, c)| c);
+    let t_max = t_max(p.compute_rate(p.root()), root_links);
     let expected = bottom_up(p).throughput;
 
     let net = Net {
@@ -475,7 +468,7 @@ fn check_terminal(net: &Net, ctx: &mut Ctx<'_>) -> Result<(), Box<Violation>> {
     }
     // Switches compute nothing, whatever they forward.
     for m in &net.machines {
-        if matches!(m.weight(), Weight::Infinite) && !m.alpha().is_zero() {
+        if m.rate().is_zero() && !m.alpha().is_zero() {
             return Err(ctx.fail(format!("switch P{} accepted work alpha={}", m.id(), m.alpha())));
         }
     }
@@ -508,6 +501,7 @@ mod tests {
     fn all_trees_up_to_five_nodes_verify() {
         let report = check(5, 8, 1);
         assert_eq!(report.instances, 102); // (1+1+2+6+24) shapes × 3 variants
+        assert_eq!(report.states, 1591);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.states > report.instances as u64);
     }

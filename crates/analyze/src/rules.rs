@@ -83,8 +83,9 @@ pub fn rules_for(rel: &str) -> Vec<&'static str> {
     }
 
     // R2: protocol actors, the simulator kernel and every executor policy,
-    // the runtime invariant monitor, and schedule reconstruction (period
-    // overflow is a typed `ScheduleError`).
+    // the runtime invariant monitor, schedule reconstruction (period
+    // overflow is a typed `ScheduleError`), and the BW-First node machine
+    // and its driver (a refused message is a typed `MachineError`).
     let r2 = in_dir("crates/proto/src/")
         || [
             "crates/sim/src/engine.rs",
@@ -97,6 +98,8 @@ pub fn rules_for(rel: &str) -> Vec<&'static str> {
             "crates/sim/src/result_return.rs",
             "crates/sim/src/monitor.rs",
             "crates/core/src/schedule.rs",
+            "crates/core/src/machine.rs",
+            "crates/core/src/driver.rs",
         ]
         .contains(&rel.as_str());
     if r2 {
@@ -397,6 +400,10 @@ mod tests {
             assert!(rules_for(&format!("crates/sim/src/{executor}.rs")).contains(&RULE_PANIC));
         }
         assert!(rules_for("crates/core/src/schedule.rs").contains(&RULE_PANIC));
+        for kernel in ["machine", "driver"] {
+            assert!(rules_for(&format!("crates/core/src/{kernel}.rs")).contains(&RULE_PANIC));
+            assert!(rules_for(&format!("crates/core/src/{kernel}.rs")).contains(&RULE_FLOAT));
+        }
         assert!(!rules_for("crates/sim/src/makespan.rs").contains(&RULE_PANIC));
         assert!(rules_for("crates/obs/src/json.rs").contains(&RULE_WILDCARD));
         assert!(!rules_for("crates/bench/src/records.rs").contains(&RULE_SHIM));

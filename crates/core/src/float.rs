@@ -1,50 +1,53 @@
-//! `f64` fast path for throughput-only queries.
+//! `f64` evaluator for throughput-only queries.
 //!
 //! Exact rationals are mandatory for *schedule construction* (lcm of
 //! denominators is meaningless in floating point), but a throughput-only
-//! query — e.g. scoring thousands of candidate overlay trees in a topology
-//! search — can use `f64`. This module mirrors `BW-First` on floats; the
-//! `rational_vs_float` bench quantifies the speed difference and the unit
-//! tests bound the numeric drift.
+//! query — scoring thousands of candidate overlay trees in a topology
+//! search (`bwfirst-overlay`'s `convert`) — can use `f64`. This module (one
+//! of the two files lint rule R1 lets use floats) gives the shared
+//! [`NodeMachine`](crate::NodeMachine) its `f64` arithmetic and runs it under
+//! the same driver as the exact solver. The `rational_vs_float` bench
+//! quantifies the speed difference and the unit tests bound the numeric
+//! drift.
 
+use crate::driver::{t_max, traverse};
+use crate::lazy::TreeSource;
+use crate::machine::Num;
 use bwfirst_platform::{NodeId, Platform};
+
+impl Num for f64 {
+    const ZERO: f64 = 0.0;
+    const ONE: f64 = 1.0;
+}
+
+/// A platform's rates and link times rounded to `f64`, children in the
+/// exact bandwidth-centric order.
+struct FloatSource<'a>(&'a Platform);
+
+impl TreeSource<f64> for FloatSource<'_> {
+    type Node = NodeId;
+
+    fn root(&self) -> (NodeId, f64) {
+        (self.0.root(), self.0.compute_rate(self.0.root()).to_f64())
+    }
+
+    fn children(&self, node: &NodeId) -> Vec<(NodeId, f64, f64)> {
+        let p = self.0;
+        let link = |k: NodeId| p.link_time(k).expect("child link").to_f64();
+        let kids = p.children_bandwidth_centric(*node);
+        kids.into_iter().map(|k| (k, link(k), p.compute_rate(k).to_f64())).collect()
+    }
+}
 
 /// `BW-First` on `f64`: returns the steady-state throughput approximation.
 #[must_use]
 pub fn bw_first_f64(platform: &Platform) -> f64 {
-    let root = platform.root();
-    let best_bw =
-        platform.children(root).iter().map(|&k| 1.0 / link(platform, k)).fold(0.0f64, f64::max);
-    let t_max = rate(platform, root) + best_bw;
-    t_max - visit(platform, root, t_max)
-}
-
-fn rate(p: &Platform, id: NodeId) -> f64 {
-    p.compute_rate(id).to_f64()
-}
-
-fn link(p: &Platform, id: NodeId) -> f64 {
-    p.link_time(id).expect("child link").to_f64()
-}
-
-/// Returns θ (the unconsumed part of `lambda`). Recursive: the float path is
-/// for shallow, wide topology searches; use the exact solver for deep chains.
-fn visit(p: &Platform, node: NodeId, lambda: f64) -> f64 {
-    let alpha = rate(p, node).min(lambda);
-    let mut delta = lambda - alpha;
-    let mut tau = 1.0f64;
-    for child in p.children_bandwidth_centric(node) {
-        if delta <= 0.0 || tau <= 0.0 {
-            break;
-        }
-        let c = link(p, child);
-        let beta = delta.min(tau / c);
-        let theta = visit(p, child, beta);
-        let consumed = beta - theta;
-        delta -= consumed;
-        tau -= consumed * c;
-    }
-    delta
+    let source = FloatSource(platform);
+    let (root, rate) = source.root();
+    let t_max = t_max(rate, source.children(&root).into_iter().map(|(_, c, _)| c));
+    let theta = traverse(&source, t_max, None, |_| {})
+        .expect("BW-First's machines accept each other's acks");
+    t_max - theta
 }
 
 #[cfg(test)]

@@ -22,20 +22,22 @@
 //! reproducing the finite-vs-infinite observation of Bataineh & Robertazzi
 //! cited by the paper.
 
+use crate::driver::{t_max, traverse};
 use bwfirst_platform::{NodeId, Platform};
 use bwfirst_rational::Rat;
 
-/// A tree revealed on demand. Implementations may be infinite.
-pub trait TreeSource {
+/// A tree revealed on demand, with rates and link times in `N` (exact
+/// [`Rat`] unless stated). Implementations may be infinite.
+pub trait TreeSource<N = Rat> {
     /// Opaque node handle.
     type Node: Clone;
 
     /// The root handle and its computing rate.
-    fn root(&self) -> (Self::Node, Rat);
+    fn root(&self) -> (Self::Node, N);
 
     /// Children of `node` as `(handle, link time c, computing rate)`.
     /// Need not be sorted; the solver applies the bandwidth-centric order.
-    fn children(&self, node: &Self::Node) -> Vec<(Self::Node, Rat, Rat)>;
+    fn children(&self, node: &Self::Node) -> Vec<(Self::Node, N, N)>;
 }
 
 /// Which truncation to apply at the depth limit.
@@ -45,15 +47,6 @@ pub enum Bound {
     Lower,
     /// Perfect consumers at the limit (optimistic ⇒ upper bound).
     Upper,
-}
-
-struct LazyFrame<N> {
-    depth: usize,
-    delta: Rat,
-    tau: Rat,
-    kids: Vec<(N, Rat, Rat)>,
-    next: usize,
-    open: Rat, // (β) of the open transaction; c of the open child kept in kids
 }
 
 /// Runs `BW-First` on a lazy tree with root proposal `lambda`, truncating at
@@ -66,48 +59,9 @@ pub fn bw_first_lazy<S: TreeSource>(
     depth_limit: usize,
     bound: Bound,
 ) -> Rat {
-    let (root, root_rate) = source.root();
-    let enter =
-        |node: S::Node, depth: usize, rate: Rat, lambda: Rat, source: &S| -> LazyFrame<S::Node> {
-            let alpha = rate.min(lambda);
-            let at_limit = depth >= depth_limit;
-            let (delta, kids) = match (at_limit, bound) {
-                (true, Bound::Lower) => (lambda - alpha, Vec::new()),
-                (true, Bound::Upper) => (Rat::ZERO, Vec::new()), // consume everything
-                (false, _) => {
-                    let mut kids = source.children(&node);
-                    kids.sort_by_key(|k| k.1);
-                    (lambda - alpha, kids)
-                }
-            };
-            LazyFrame { depth, delta, tau: Rat::ONE, kids, next: 0, open: Rat::ZERO }
-        };
-
-    let mut stack = vec![enter(root, 0, root_rate, lambda, source)];
-    loop {
-        let top = stack.last_mut().expect("stack non-empty");
-        if top.delta.is_positive() && top.tau.is_positive() && top.next < top.kids.len() {
-            let (child, _c, rate) = top.kids[top.next].clone();
-            let b = top.kids[top.next].1.recip();
-            let beta = top.delta.min(top.tau * b);
-            top.open = beta;
-            let depth = top.depth + 1;
-            stack.push(enter(child, depth, rate, beta, source));
-            continue;
-        }
-        let done = stack.pop().expect("frame");
-        let theta = done.delta;
-        match stack.last_mut() {
-            None => return lambda - theta,
-            Some(parent) => {
-                let consumed = parent.open - theta;
-                let c = parent.kids[parent.next].1;
-                parent.delta -= consumed;
-                parent.tau -= consumed * c;
-                parent.next += 1;
-            }
-        }
-    }
+    let theta = traverse(source, lambda, Some((depth_limit, bound)), |_| {})
+        .expect("BW-First's machines accept each other's acks");
+    lambda - theta
 }
 
 /// Lower/upper throughput bounds of a lazy tree at a given depth limit,
@@ -116,9 +70,7 @@ pub fn bw_first_lazy<S: TreeSource>(
 #[must_use]
 pub fn throughput_bounds<S: TreeSource>(source: &S, depth_limit: usize) -> (Rat, Rat) {
     let (root, root_rate) = source.root();
-    let best_bw =
-        source.children(&root).iter().map(|(_, c, _)| c.recip()).max().unwrap_or(Rat::ZERO);
-    let lambda = root_rate + best_bw;
+    let lambda = t_max(root_rate, source.children(&root).into_iter().map(|(_, c, _)| c));
     (
         bw_first_lazy(source, lambda, depth_limit, Bound::Lower),
         bw_first_lazy(source, lambda, depth_limit, Bound::Upper),
@@ -170,8 +122,9 @@ impl TreeSource for InfiniteKary {
     }
 }
 
-/// Adapter exposing a finite [`Platform`] as a [`TreeSource`] — lets the
-/// lazy solver be cross-checked against the exact one.
+/// Adapter exposing a finite [`Platform`] as a [`TreeSource`] — the source
+/// [`bw_first`](crate::bw_first) runs on, and the one that lets the lazy
+/// bounds be cross-checked against it.
 #[derive(Debug, Clone, Copy)]
 pub struct PlatformSource<'a>(pub &'a Platform);
 

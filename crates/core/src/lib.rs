@@ -13,6 +13,11 @@
 //!   travel up; only nodes used by the final schedule are visited. Produces
 //!   a full [`BwFirstSolution`] with the transaction trace (Figure 4(b))
 //!   and per-node rates (Figure 4(c)).
+//! * [`machine`] — one node's `BW-First` state machine ([`NodeMachine`]),
+//!   generic over its arithmetic; [`driver`] runs one per visited node on
+//!   an explicit stack. Every traversal runs them: `bw_first`, [`lazy`],
+//!   [`float`], the `bwfirst-proto` actors and the `bwfirst-analyze` model
+//!   checker.
 //! * [`SteadyState`] — the per-node rational rates `η` with the conservation
 //!   law of equation (1), plus feasibility checks.
 //! * [`schedule`] — **Lemma 1** asynchronous periods, the **event-driven**
@@ -27,8 +32,8 @@
 //! * [`lazy`] — BW-First over lazily generated (conceptually infinite)
 //!   trees, with converging lower/upper throughput bounds (Section 5's
 //!   infinite-network remark).
-//! * [`float`] — an `f64` fast path used by benches to price exact
-//!   arithmetic.
+//! * [`float`] — the `f64` throughput evaluator the overlay search scores
+//!   candidate trees with (and benches price exact arithmetic against).
 //! * [`validate`] — one-call validation of a whole event-driven schedule
 //!   (rates + periods + quantities + orders) before deployment.
 //! * [`observe`] — converts solver outputs (transaction traces, reduction
@@ -44,10 +49,12 @@
 
 pub mod bottom_up;
 pub mod bwfirst;
+pub mod driver;
 pub mod expectations;
 pub mod float;
 pub mod fork;
 pub mod lazy;
+pub mod machine;
 pub mod observe;
 pub mod quantize;
 pub mod schedule;
@@ -57,8 +64,10 @@ pub mod validate;
 
 pub use bottom_up::{bottom_up, BottomUpOutcome};
 pub use bwfirst::{bw_first, bw_first_with_lambda, BwFirstSolution, TraceEvent, Transaction};
+pub use driver::t_max;
 pub use expectations::MonitorExpectations;
 pub use fork::{fork_equivalent_rate, ForkChild, ForkReduction};
+pub use machine::{MachineError, NodeMachine, Num, Outgoing};
 pub use schedule::{
     EventDrivenSchedule, LocalSchedule, LocalScheduleKind, NodeSchedule, ScheduleError, SlotAction,
     TreeSchedule,

@@ -1,15 +1,15 @@
 //! The per-node actor: a thread that speaks the protocol with its parent and
 //! children using only local knowledge.
 //!
-//! All negotiation logic lives in [`crate::machine::NodeMachine`]; the actor
+//! All negotiation logic lives in `bwfirst-core`'s [`NodeMachine`]; the actor
 //! only moves the machine's required transmissions over real channels. Every
 //! failure path returns a typed [`ProtoError`] (lint rule R2): an actor
 //! thread never panics, its `run` result carries the reason it stopped.
 
 use crate::error::{Peer, ProtoError};
-use crate::machine::{NodeMachine, Outgoing};
 use crate::messages::{ControlMsg, DownMsg, Report, UpMsg};
 use bwfirst_core::schedule::{LocalSchedule, LocalScheduleKind, NodeSchedule, SlotAction};
+use bwfirst_core::{NodeMachine, Outgoing};
 use bwfirst_platform::{NodeId, Weight};
 use bwfirst_rational::{lcm_i128, Rat};
 use bytes::Bytes;
@@ -25,7 +25,7 @@ pub(crate) struct ChildLink {
 }
 
 /// The actor's full state. Only local data: the negotiation machine (own
-/// weight plus child links), the channel endpoints, and the routing table
+/// rate plus child links), the channel endpoints, and the routing table
 /// the *harness* uses to deliver control messages (not used by the protocol
 /// itself).
 pub(crate) struct Actor {
@@ -58,7 +58,7 @@ impl Actor {
         let links: Vec<(u32, Rat)> = children.iter().map(|(l, c)| (l.id, *c)).collect();
         let children = children.into_iter().map(|(l, _)| l).collect();
         Actor {
-            machine: NodeMachine::new(id, weight, links),
+            machine: NodeMachine::new(id, weight.rate(), links),
             parent_rx,
             parent_tx,
             children,
@@ -268,7 +268,7 @@ impl Actor {
     fn apply_or_relay(&mut self, target: u32, change: ControlMsg) -> Result<(), ProtoError> {
         if target == self.id() {
             match change {
-                ControlMsg::SetWeight(w) => self.machine.set_weight(w),
+                ControlMsg::SetWeight(w) => self.machine.set_rate(w.rate()),
                 ControlMsg::SetLink { child, c } => self.machine.set_link(child, c)?,
             }
             self.schedule = None;

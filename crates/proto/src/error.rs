@@ -4,11 +4,12 @@
 //! from `proto/src`: every failure an actor or the driver can hit must
 //! surface as a [`ProtoError`] instead of tearing the thread down with an
 //! unnamed panic. The variants map one-to-one onto the invariants of the
-//! Section 5 transaction protocol.
+//! Section 5 transaction protocol; those one node's state machine checks
+//! are `bwfirst-core`'s [`MachineError`], wrapped here.
 
 use crate::wire::WireError;
+use bwfirst_core::MachineError;
 use bwfirst_obs::json::{obj, Value};
-use bwfirst_rational::Rat;
 use std::fmt;
 
 /// The counterpart a node was talking to when a link failed.
@@ -42,40 +43,13 @@ pub enum ProtoError {
         /// Which peer went away.
         peer: Peer,
     },
-    /// A node received a proposal while a round was already in flight.
-    MidRound {
-        /// The node that was mid-round.
-        node: u32,
-    },
-    /// An acknowledgment arrived from a child the node was not awaiting.
-    UnexpectedAck {
-        /// The receiving node.
-        node: u32,
-        /// The child that acked out of turn.
-        from: u32,
-    },
-    /// An acknowledgment violated `0 ≤ θ ≤ β` for the pending proposal.
-    InvalidAck {
-        /// The receiving node.
-        node: u32,
-        /// The acking child.
-        from: u32,
-        /// The refused amount it sent.
-        theta: Rat,
-        /// The proposal it was answering.
-        beta: Rat,
-    },
+    /// A node's state machine refused a message (mid-round proposal,
+    /// unexpected or invalid ack, unknown child).
+    Machine(MachineError),
     /// A task was routed to a node whose negotiation assigned it no work.
     NoSchedule {
         /// The node without a schedule.
         node: u32,
-    },
-    /// A message referenced a child id this node does not have.
-    UnknownChild {
-        /// The parent doing the lookup.
-        node: u32,
-        /// The missing child id.
-        child: u32,
     },
     /// A control message targeted a node outside this subtree.
     UnroutableControl {
@@ -118,11 +92,11 @@ impl ProtoError {
     pub fn kind(&self) -> &'static str {
         match self {
             ProtoError::ChannelClosed { .. } => "channel-closed",
-            ProtoError::MidRound { .. } => "mid-round",
-            ProtoError::UnexpectedAck { .. } => "unexpected-ack",
-            ProtoError::InvalidAck { .. } => "invalid-ack",
+            ProtoError::Machine(MachineError::MidRound { .. }) => "mid-round",
+            ProtoError::Machine(MachineError::UnexpectedAck { .. }) => "unexpected-ack",
+            ProtoError::Machine(MachineError::InvalidAck { .. }) => "invalid-ack",
+            ProtoError::Machine(MachineError::UnknownChild { .. }) => "unknown-child",
             ProtoError::NoSchedule { .. } => "no-schedule",
-            ProtoError::UnknownChild { .. } => "unknown-child",
             ProtoError::UnroutableControl { .. } => "unroutable-control",
             ProtoError::PeriodOverflow { .. } => "period-overflow",
             ProtoError::MissingLink { .. } => "missing-link",
@@ -138,11 +112,13 @@ impl ProtoError {
     pub fn node(&self) -> Option<u32> {
         match self {
             ProtoError::ChannelClosed { node, .. }
-            | ProtoError::MidRound { node }
-            | ProtoError::UnexpectedAck { node, .. }
-            | ProtoError::InvalidAck { node, .. }
+            | ProtoError::Machine(
+                MachineError::MidRound { node }
+                | MachineError::UnexpectedAck { node, .. }
+                | MachineError::InvalidAck { node, .. }
+                | MachineError::UnknownChild { node, .. },
+            )
             | ProtoError::NoSchedule { node }
-            | ProtoError::UnknownChild { node, .. }
             | ProtoError::UnroutableControl { node, .. }
             | ProtoError::PeriodOverflow { node }
             | ProtoError::Spawn { node, .. } => Some(*node),
@@ -175,20 +151,9 @@ impl fmt::Display for ProtoError {
             ProtoError::ChannelClosed { node, peer } => {
                 write!(f, "P{node}: link to {peer} closed mid-protocol")
             }
-            ProtoError::MidRound { node } => {
-                write!(f, "P{node}: proposal received while a round is in flight")
-            }
-            ProtoError::UnexpectedAck { node, from } => {
-                write!(f, "P{node}: unexpected ack from P{from}")
-            }
-            ProtoError::InvalidAck { node, from, theta, beta } => {
-                write!(f, "P{node}: ack θ={theta} from P{from} outside [0, β={beta}]")
-            }
+            ProtoError::Machine(e) => write!(f, "{e}"),
             ProtoError::NoSchedule { node } => {
                 write!(f, "P{node}: received a task but negotiated no work")
-            }
-            ProtoError::UnknownChild { node, child } => {
-                write!(f, "P{node}: no child P{child}")
             }
             ProtoError::UnroutableControl { node, target } => {
                 write!(f, "P{node}: control target P{target} not in subtree")
@@ -213,6 +178,12 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+impl From<MachineError> for ProtoError {
+    fn from(e: MachineError) -> ProtoError {
+        ProtoError::Machine(e)
+    }
+}
+
 impl From<WireError> for ProtoError {
     fn from(e: WireError) -> ProtoError {
         ProtoError::Transport(e)
@@ -226,12 +197,33 @@ mod tests {
 
     #[test]
     fn violation_json_carries_the_shared_shape() {
-        let e = ProtoError::InvalidAck { node: 3, from: 7, theta: rat(2, 1), beta: rat(1, 1) };
+        let e = MachineError::InvalidAck { node: 3, from: 7, theta: rat(2, 1), beta: rat(1, 1) };
+        let e = ProtoError::from(e);
         let v = e.to_violation_json();
         assert_eq!(v["layer"].as_str(), Some("proto"));
         assert_eq!(v["kind"].as_str(), Some("invalid-ack"));
         assert!(v["message"].as_str().is_some_and(|m| m.contains("P3")));
         assert_eq!(v["node"].as_i128(), Some(3));
+    }
+
+    #[test]
+    fn machine_errors_keep_their_kinds() {
+        let cases = [
+            (MachineError::MidRound { node: 1 }, "mid-round"),
+            (MachineError::UnexpectedAck { node: 2, from: 5 }, "unexpected-ack"),
+            (
+                MachineError::InvalidAck { node: 3, from: 6, theta: rat(2, 1), beta: rat(1, 1) },
+                "invalid-ack",
+            ),
+            (MachineError::UnknownChild { node: 4, child: 9 }, "unknown-child"),
+        ];
+        for (k, (e, kind)) in cases.into_iter().enumerate() {
+            let message = e.to_string();
+            let e = ProtoError::from(e);
+            assert_eq!(e.kind(), kind);
+            assert_eq!(e.node(), Some(k as u32 + 1));
+            assert_eq!(e.to_string(), message);
+        }
     }
 
     #[test]

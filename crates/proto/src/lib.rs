@@ -3,8 +3,9 @@
 //!
 //! This crate realizes the paper's claim that `BW-First` "can be implemented
 //! as a lightweight communication protocol between the nodes of the
-//! platform": the traversal of `bwfirst-core` becomes an actual exchange of
-//! messages between OS threads. Each node actor knows only
+//! platform": each actor runs `bwfirst-core`'s `NodeMachine` — the state
+//! machine `bw_first` runs in process — and the traversal becomes an actual
+//! exchange of messages between OS threads. Each node actor knows only
 //! **local** information — its own processing time, its children's link
 //! times, and its channel endpoints — plus what its parent and children tell
 //! it (the *semi-autonomous* property of Section 5).
@@ -32,12 +33,10 @@
 
 mod actor;
 pub mod error;
-pub mod machine;
 pub mod messages;
 pub mod session;
 pub mod wire;
 
 pub use error::{Peer, ProtoError};
-pub use machine::NodeMachine;
 pub use messages::{ControlMsg, DownMsg, UpMsg};
 pub use session::{FlowOutcome, NegotiationOutcome, ProtocolSession};

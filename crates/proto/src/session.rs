@@ -3,6 +3,7 @@
 use crate::actor::{Actor, ChildLink};
 use crate::error::ProtoError;
 use crate::messages::{ControlMsg, DownMsg, Report, UpMsg};
+use bwfirst_core::t_max;
 use bwfirst_obs::{Arg, Event, EventKind, Lane, Recorder, SpanAllocator, SpanContext, Ts};
 use bwfirst_platform::{NodeId, Platform, Weight};
 use bwfirst_rational::Rat;
@@ -170,21 +171,19 @@ impl FlowOutcome {
     }
 }
 
-/// The canonical virtual-parent proposal for a platform: the root's compute
-/// rate plus its best child bandwidth — the `t_max` a round opens with. Also
-/// used by the `crates/analyze` model checker so the exhaustive exploration
-/// opens every round exactly like the live driver.
+/// The canonical virtual-parent proposal for a platform: `bwfirst-core`'s
+/// [`t_max`] — the root's compute rate plus its best child bandwidth — that
+/// a round opens with.
 ///
 /// # Errors
 /// [`ProtoError::MissingLink`] if a root child has no link weight.
 pub fn virtual_proposal(platform: &Platform) -> Result<Rat, ProtoError> {
     let root = platform.root();
-    let mut best = Rat::ZERO;
+    let mut links = Vec::new();
     for &k in platform.children(root) {
-        let bw = platform.bandwidth(k).ok_or(ProtoError::MissingLink { child: k.0 })?;
-        best = best.max(bw);
+        links.push(platform.link_time(k).ok_or(ProtoError::MissingLink { child: k.0 })?);
     }
-    Ok(platform.compute_rate(root) + best)
+    Ok(t_max(platform.compute_rate(root), links))
 }
 
 /// A live actor tree. Dropping the session shuts the actors down.
