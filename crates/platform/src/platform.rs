@@ -107,10 +107,17 @@ impl Platform {
         self.ancestors(id).count()
     }
 
-    /// Height of the tree: the maximum depth over all nodes.
+    /// Height of the tree: the maximum depth over all nodes. One walk down
+    /// from the root, so a chain costs `O(n)`, not `O(n²)`.
     #[must_use]
     pub fn height(&self) -> usize {
-        self.node_ids().map(|id| self.depth(id)).max().unwrap_or(0)
+        let mut height = 0;
+        let mut stack = vec![(self.root(), 0)];
+        while let Some((id, depth)) = stack.pop() {
+            height = height.max(depth);
+            stack.extend(self.children(id).iter().map(|&k| (k, depth + 1)));
+        }
+        height
     }
 
     /// Iterator over the proper ancestors of `id`, nearest first.
